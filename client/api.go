@@ -1,7 +1,9 @@
 // Package client is the typed Go client for the compaqt compile
 // server (cmd/compaqt-serve, internal/server). It also defines the
-// JSON wire types of the HTTP API, which the server package reuses so
-// the two sides cannot drift.
+// JSON wire types of the HTTP API, and the one-pass codec of the two
+// request bodies that carry pulses (DecodeCompileRequest,
+// DecodeBatchRequest), which the server package reuses so the two
+// sides cannot drift.
 //
 // The API surface mirrors the in-process compaqt.Service:
 //

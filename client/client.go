@@ -170,12 +170,18 @@ func (c *Client) Stats(ctx context.Context) (*StatsResponse, error) {
 
 // Compile compresses a single pulse. Compiles are content-addressed
 // and therefore idempotent, which is what makes the automatic retry
-// safe: a retried request can only re-derive the same bytes.
+// safe: a retried request can only re-derive the same bytes. The
+// request is encoded once, into one buffer sized for it up front, and
+// every attempt resends those bytes.
 func (c *Client) Compile(ctx context.Context, req CompileRequest) (*CompileResponse, error) {
+	body, err := appendCompileRequest(make([]byte, 0, req.sizeBound()), &req)
+	if err != nil {
+		return nil, err
+	}
 	var resp CompileResponse
-	err := c.withRetry(ctx, func(ctx context.Context) error {
+	err = c.withRetry(ctx, func(ctx context.Context) error {
 		resp = CompileResponse{}
-		return c.postJSON(ctx, "/v1/compile", req, &resp)
+		return c.postJSON(ctx, "/v1/compile", body, &resp)
 	})
 	if err != nil {
 		return nil, err
@@ -185,12 +191,17 @@ func (c *Client) Compile(ctx context.Context, req CompileRequest) (*CompileRespo
 
 // CompileBatch compresses a pulse list as one order-stable,
 // dedup-aware batch. Retries are safe for the same reason Compile's
-// are: the batch result is a pure function of its pulse content.
+// are: the batch result is a pure function of its pulse content. The
+// request is encoded once, as Compile's is.
 func (c *Client) CompileBatch(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
+	body, err := appendBatchRequest(make([]byte, 0, req.sizeBound()), &req)
+	if err != nil {
+		return nil, err
+	}
 	var resp BatchResponse
-	err := c.withRetry(ctx, func(ctx context.Context) error {
+	err = c.withRetry(ctx, func(ctx context.Context) error {
 		resp = BatchResponse{}
-		return c.postJSON(ctx, "/v1/compile/batch", req, &resp)
+		return c.postJSON(ctx, "/v1/compile/batch", body, &resp)
 	})
 	if err != nil {
 		return nil, err
@@ -368,8 +379,12 @@ func (c *Client) ClusterView(ctx context.Context) (*ClusterResponse, error) {
 // merged one. Gossip is deliberately never retried — the next round
 // reaches another peer anyway, and a retry would only mask flapping.
 func (c *Client) Gossip(ctx context.Context, req GossipRequest) (*GossipResponse, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
 	var resp GossipResponse
-	if err := c.postJSON(ctx, "/v1/cluster/gossip", req, &resp); err != nil {
+	if err := c.postJSON(ctx, "/v1/cluster/gossip", body, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -563,12 +578,10 @@ func (c *Client) getJSON(ctx context.Context, path string, out any) error {
 	return err
 }
 
-func (c *Client) postJSON(ctx context.Context, path string, in, out any) error {
-	payload, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	res, err := c.do(ctx, http.MethodPost, path, bytes.NewReader(payload))
+// postJSON posts an encoded JSON body and decodes the JSON reply into
+// out. The body is read-only here: retries resend the same bytes.
+func (c *Client) postJSON(ctx context.Context, path string, body []byte, out any) error {
+	res, err := c.do(ctx, http.MethodPost, path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}

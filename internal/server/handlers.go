@@ -301,11 +301,10 @@ func (s *Server) localStats() client.StatsResponse {
 // bodyBufPool recycles request-body staging buffers across requests.
 var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// decodeBody JSON-decodes a bounded request body into v. The body is
-// staged in a pooled buffer and decoded with json.Unmarshal (which
-// copies what it keeps), so the staging memory is reused request to
-// request.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+// decodeBody stages a bounded request body in a pooled buffer and hands
+// it to decode, which must copy whatever it keeps: the buffer goes back
+// to the pool for the next request.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, decode func([]byte) error) error {
 	switch {
 	case r.ContentLength > s.cfg.MaxBodyBytes:
 		// Declared too large: reject before reading a byte.
@@ -332,7 +331,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error
 		}
 		return badRequest("reading request body: %v", err)
 	}
-	if err := json.Unmarshal(buf.Bytes(), v); err != nil {
+	if err := decode(buf.Bytes()); err != nil {
 		return badRequest("invalid JSON body: %v", err)
 	}
 	return nil
@@ -360,23 +359,12 @@ type compileScratch struct {
 
 var compileScratchPool = sync.Pool{New: func() any { return new(compileScratch) }}
 
-// reset clears the request while keeping the waveform slice capacity.
-// It must run before decoding: json.Unmarshal leaves fields absent
-// from the body untouched, and a stale field from the previous request
-// must never leak into this one.
-func (sc *compileScratch) reset() {
-	i, q := sc.req.Pulse.I[:0], sc.req.Pulse.Q[:0]
-	sc.req = client.CompileRequest{}
-	sc.req.Pulse.I, sc.req.Pulse.Q = i, q
-}
-
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	s.m.requests.Add(1)
 	sc := compileScratchPool.Get().(*compileScratch)
 	defer compileScratchPool.Put(sc)
-	sc.reset()
 	req := &sc.req
-	if err := s.decodeBody(w, r, req); err != nil {
+	if err := s.decodeBody(w, r, func(b []byte) error { return client.DecodeCompileRequest(b, req) }); err != nil {
 		s.fail(w, err)
 		return
 	}
@@ -424,28 +412,51 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, &sc.resp)
 }
 
+// batchScratch is the pooled decode target of POST /v1/compile/batch:
+// the pulse list and every pulse's I/Q arrays keep their capacity
+// across requests, as do the in-process pulses and waveforms they
+// become. Pooling is safe for compileScratch's reason: CompileBatch
+// returns only after its last worker, and keeps nothing of its input.
+type batchScratch struct {
+	req    client.BatchRequest
+	resp   client.BatchResponse
+	pulses []qctrl.Pulse
+	wfs    []waveform.Waveform
+	ptrs   []*qctrl.Pulse
+}
+
+var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.m.requests.Add(1)
-	var req client.BatchRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	sc := batchScratchPool.Get().(*batchScratch)
+	defer batchScratchPool.Put(sc)
+	req := &sc.req
+	if err := s.decodeBody(w, r, func(b []byte) error { return client.DecodeBatchRequest(b, req) }); err != nil {
 		s.fail(w, err)
 		return
 	}
-	if len(req.Pulses) == 0 {
+	n := len(req.Pulses)
+	if n == 0 {
 		s.fail(w, badRequest("batch has no pulses"))
 		return
 	}
-	if len(req.Pulses) > s.cfg.MaxBatchPulses {
+	if n > s.cfg.MaxBatchPulses {
 		s.fail(w, &httpError{
 			status: http.StatusRequestEntityTooLarge,
-			msg:    fmt.Sprintf("batch of %d pulses exceeds the %d-pulse limit", len(req.Pulses), s.cfg.MaxBatchPulses),
+			msg:    fmt.Sprintf("batch of %d pulses exceeds the %d-pulse limit", n, s.cfg.MaxBatchPulses),
 		})
 		return
 	}
-	pulses := make([]*qctrl.Pulse, len(req.Pulses))
+	if cap(sc.ptrs) < n {
+		sc.pulses = make([]qctrl.Pulse, n)
+		sc.wfs = make([]waveform.Waveform, n)
+		sc.ptrs = make([]*qctrl.Pulse, n)
+	}
+	pulses := sc.ptrs[:n]
 	for i := range req.Pulses {
-		p, err := req.Pulses[i].Pulse()
-		if err != nil {
+		p := &sc.pulses[i]
+		if err := req.Pulses[i].PulseInto(p, &sc.wfs[i]); err != nil {
 			s.fail(w, badRequest("pulse %d: %v", i, err))
 			return
 		}
@@ -483,13 +494,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		si = s.storeImage(req.Image, img)
 		s.publishToCluster(ctx, req.Image, si)
 	}
-	resp := client.BatchResponse{
-		Codec:   svc.Codec().Name(),
-		Entries: make([]client.EntrySummary, len(img.Entries)),
-		Stats:   imageStats(img),
-	}
+	entries := sc.resp.Entries[:0]
 	for i := range img.Entries {
-		resp.Entries[i] = entrySummary(svc, &img.Entries[i])
+		entries = append(entries, entrySummary(svc, &img.Entries[i]))
+	}
+	sc.resp = client.BatchResponse{
+		Codec:   svc.Codec().Name(),
+		Entries: entries,
+		Stats:   imageStats(img),
 	}
 	if req.IncludeImage {
 		// A stored image shares its memoized digest with later GETs;
@@ -509,9 +521,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, badRequest("include_image: %v", err))
 			return
 		}
-		resp.ImageB64 = b64
+		sc.resp.ImageB64 = b64
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, &sc.resp)
 }
 
 func (s *Server) handleImage(w http.ResponseWriter, r *http.Request) {

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/hex"
+	"encoding/json"
 	"net/http"
 	"sync"
 	"time"
@@ -24,7 +25,7 @@ import (
 func (s *Server) handleGossip(w http.ResponseWriter, r *http.Request) {
 	s.m.requests.Add(1)
 	var req client.GossipRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := s.decodeBody(w, r, func(b []byte) error { return json.Unmarshal(b, &req) }); err != nil {
 		s.fail(w, err)
 		return
 	}

@@ -47,6 +47,7 @@ import (
 	"compaqt/client"
 	"compaqt/internal/cache"
 	"compaqt/internal/cluster"
+	"compaqt/internal/store"
 )
 
 // Config assembles a Server. The zero value serves with the library
@@ -202,11 +203,12 @@ type Server struct {
 	// and then streamed from shared buffers (see serialize.go).
 	wire *cache.LRU
 
-	// store, when non-nil, is the default service's persistent image
-	// store (Config.StoreDir): image GETs fall back to it when the
-	// in-memory map misses — the warm-restart path — and compiles from
-	// derived services write through to it explicitly.
-	store *compaqt.ImageStore
+	// store, when non-nil, is the persistent image store
+	// (Config.StoreDir): image GETs fall back to it when the in-memory
+	// map misses — the warm-restart path. storeImage is its only
+	// writer, so only named images are persisted, once each; the
+	// services compile without a store.
+	store *store.Store
 
 	// cluster, when non-nil, is this node's membership in the
 	// digest-sharded serving tier: image GETs missing locally forward
@@ -302,7 +304,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	s.svc = svc
-	s.store = svc.Store() // nil without Config.StoreDir
 
 	if cfg.Cluster.Enabled() {
 		cl, err := cluster.New(cfg.Cluster)
@@ -310,6 +311,14 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 		s.cluster = cl
+	}
+	if cfg.StoreDir != "" {
+		st, err := store.Open(cfg.StoreDir, cfg.StoreMaxBytes)
+		if err != nil {
+			s.Close()
+			return nil, fmt.Errorf("server: %w", err)
+		}
+		s.store = st
 	}
 
 	mux := http.NewServeMux()
@@ -356,12 +365,6 @@ func (s *Server) baseOptions(o *client.CompileOptions) []compaqt.Option {
 		}
 		if cfg.CacheSize > 0 {
 			opts = append(opts, compaqt.WithCache(cfg.CacheSize))
-		}
-		// Only the default service opens the store (a directory admits
-		// one open store at a time); derived services reach it through
-		// Server.storeImage's explicit write-through.
-		if cfg.StoreDir != "" {
-			opts = append(opts, compaqt.WithStore(cfg.StoreDir, cfg.StoreMaxBytes))
 		}
 		return opts
 	}
@@ -526,10 +529,7 @@ func (s *Server) release() {
 
 // storeImage records a compiled image for GET /v1/images/{name},
 // evicting the oldest stored image beyond MaxImages, and writes it
-// through to the persistent store when one is configured. The default
-// service already publishes its own compiles; the explicit put here
-// covers derived (per-override) services and costs one digest plus one
-// probe when it duplicates — the store dedups by content.
+// through to the persistent store when one is configured.
 func (s *Server) storeImage(name string, img *compaqt.Image) *storedImage {
 	si := &storedImage{img: img}
 	s.imagesMu.Lock()

@@ -347,14 +347,46 @@ func TestRequestValidation(t *testing.T) {
 	ctx := context.Background()
 	var apiErr *client.APIError
 
-	// Malformed JSON.
-	res, err := http.Post(hs.URL+"/v1/compile", "application/json", strings.NewReader("{nope"))
-	if err != nil {
-		t.Fatal(err)
+	// Bodies encoding/json rejects, so the request codec must too: each
+	// as a single compile and as a batch. The valid body is the control.
+	post := func(path, body string) int {
+		t.Helper()
+		res, err := http.Post(hs.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Body.Close()
+		return res.StatusCode
 	}
-	res.Body.Close()
-	if res.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed JSON: status %d, want 400", res.StatusCode)
+	pulse := func(qubit, i string) string {
+		return `{"gate":"X","qubit":` + qubit + `,"target":-1,"sample_rate":1e9,"i":[` + i + `],"q":[0.5]}`
+	}
+	for name, p := range map[string]string{
+		"valid":              pulse("1", "0.5"),
+		"NaN sample":         pulse("1", "NaN"),
+		"Infinity sample":    pulse("1", "Infinity"),
+		"hex float sample":   pulse("1", "0x1p3"),
+		"fractional qubit":   pulse("1.5", "0.5"),
+		"unterminated array": `{"gate":"X","qubit":1,"target":-1,"sample_rate":1e9,"i":[0.5,`,
+		"malformed":          `{nope`,
+	} {
+		want := http.StatusBadRequest
+		if name == "valid" {
+			want = http.StatusOK
+		}
+		for path, body := range map[string]string{
+			"/v1/compile":       `{"pulse":` + p + `}`,
+			"/v1/compile/batch": `{"pulses":[` + p + `]}`,
+		} {
+			if got := post(path, body); got != want {
+				t.Errorf("%s %s: status %d, want %d", name, path, got, want)
+			}
+			if name == "valid" {
+				if got := post(path, body+` x`); got != http.StatusBadRequest {
+					t.Errorf("trailing garbage %s: status %d, want 400", path, got)
+				}
+			}
+		}
 	}
 
 	// Structurally invalid pulses.
@@ -373,7 +405,7 @@ func TestRequestValidation(t *testing.T) {
 	}
 
 	// Empty batch.
-	_, err = cl.CompileBatch(ctx, client.BatchRequest{})
+	_, err := cl.CompileBatch(ctx, client.BatchRequest{})
 	if !asAPIError(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty batch: err = %v, want 400", err)
 	}

@@ -210,3 +210,42 @@ func TestServerCompileSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state compile request allocates %.1f/op, budget %d", allocs, budget)
 	}
 }
+
+// TestServerBatchSteadyStateAllocs guards the batch path likewise: a
+// warm 8-pulse batch served from the compile cache decodes into pooled
+// scratch (pulse list, I/Q arrays, in-process pulses), so what is left
+// per request is CompileBatch's own bookkeeping and the per-pulse key
+// strings. The budget is ~2x the measured steady state.
+func TestServerBatchSteadyStateAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("-race randomizes sync.Pool reuse; allocation counts only hold in normal builds")
+	}
+	srv, err := New(Config{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pulses := testPulses(8, 96)
+	specs := make([]client.PulseSpec, len(pulses))
+	for i, p := range pulses {
+		specs[i] = client.FromPulse(p)
+	}
+	body, err := json.Marshal(client.BatchRequest{Pulses: specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := newBenchRequester(srv.Handler(), http.MethodPost, "/v1/compile/batch", body)
+	for i := 0; i < 3; i++ { // warm cache and pools
+		if w := br.do(); w.status != http.StatusOK {
+			t.Fatalf("warmup status %d", w.status)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if w := br.do(); w.status != http.StatusOK {
+			t.Fatalf("status %d", w.status)
+		}
+	})
+	const budget = 100 // measured 51 at introduction
+	if allocs > budget {
+		t.Errorf("steady-state batch request allocates %.1f/op, budget %d", allocs, budget)
+	}
+}

@@ -124,6 +124,45 @@ func TestStoreBacksInMemoryEviction(t *testing.T) {
 	}
 }
 
+// TestStoreWritesOnlyNamedImagesOnce pins storeImage as the store's
+// one write path: an unnamed batch or single compile is not persisted
+// under its compile name ("batch", the pulse key), and a named compile
+// costs one put, not a put and a deduplicated second put.
+func TestStoreWritesOnlyNamedImagesOnce(t *testing.T) {
+	_, _, cl := newTestServer(t, Config{StoreDir: t.TempDir()})
+	ctx := context.Background()
+	spec := client.FromPulse(testPulse(2, 5, 64))
+	if _, err := cl.CompileBatch(ctx, client.BatchRequest{Pulses: []client.PulseSpec{spec}}); err != nil {
+		t.Fatalf("unnamed batch: %v", err)
+	}
+	if _, err := cl.Compile(ctx, client.CompileRequest{Pulse: spec}); err != nil {
+		t.Fatalf("unnamed compile: %v", err)
+	}
+	for _, name := range []string{"batch", "X_q2"} {
+		var apiErr *client.APIError
+		if _, err := cl.ImageRaw(ctx, name); !asAPIError(err, &apiErr) || apiErr.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s after unnamed compiles: err = %v, want 404", name, err)
+		}
+	}
+	st, err := cl.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Store.Puts != 0 || len(st.Images) != 0 {
+		t.Fatalf("unnamed compiles: store puts %d, images %v; want 0 and none", st.Store.Puts, st.Images)
+	}
+
+	if _, err := cl.Compile(ctx, client.CompileRequest{Image: "named", Pulse: spec}); err != nil {
+		t.Fatalf("named compile: %v", err)
+	}
+	if st, err = cl.Stats(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st.Store.Puts != 1 || st.Store.PutDedups != 0 {
+		t.Fatalf("one named compile: puts %d, put_dedups %d; want 1 and 0", st.Store.Puts, st.Store.PutDedups)
+	}
+}
+
 // TestHealthReportsStore pins the readiness semantics: a healthy store
 // reports "ok", a server without one omits the field entirely, and a
 // degraded store is reported without failing the health check.
