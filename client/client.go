@@ -327,8 +327,8 @@ func (c *Client) imageRawHedged(ctx context.Context, name string) ([]byte, error
 }
 
 // PutImageRaw publishes serialized wire-format image bytes under name
-// (PUT /v1/images/{name}). The server decodes and validates the bytes
-// before storing them, so a corrupted body is rejected, not served.
+// (PUT /v1/images/{name}). The server validates the bytes before
+// storing them, so a corrupted body is rejected, not served.
 // Content addressing makes the call idempotent — re-putting identical
 // bytes is a server-side dedup — which is what lets it retry. This is
 // the cluster replication primitive: a compiling node pushes each

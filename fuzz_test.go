@@ -18,6 +18,8 @@ import (
 
 	"compaqt"
 	"compaqt/codec"
+	"compaqt/internal/core"
+	"compaqt/internal/store"
 )
 
 // addImageSeeds feeds the golden corpus plus a few structural edge
@@ -82,7 +84,11 @@ func FuzzOpenImage(f *testing.F) {
 // FuzzDecodeImage drives parsed-but-untrusted images through the
 // software decode path (the codec Decode used for verification and
 // fidelity checks) and through re-serialization: WriteTo of a parsed
-// image must round-trip to the same parse.
+// image must round-trip to the same parse. It also holds the
+// allocation-free walk the server validates ingress with to the
+// decoders: the same accept set, the exact image length, the exact
+// bytes AppendTo writes back, and the same content digest from the
+// bytes as from the decoded image.
 func FuzzDecodeImage(f *testing.F) {
 	addImageSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -96,6 +102,10 @@ func FuzzDecodeImage(f *testing.F) {
 		if (err == nil) != (errB == nil) {
 			t.Fatalf("decoder disagreement: ReadImage err=%v, DecodeImageBytes err=%v", err, errB)
 		}
+		n, errW := core.ValidateImageBytes(data)
+		if (errW == nil) != (errB == nil) {
+			t.Fatalf("walk disagreement: ValidateImageBytes err=%v, DecodeImageBytes err=%v", errW, errB)
+		}
 		if err != nil {
 			return
 		}
@@ -103,6 +113,13 @@ func FuzzDecodeImage(f *testing.F) {
 		wireB, errB := imgB.AppendTo(nil)
 		if (errA == nil) != (errB == nil) || !bytes.Equal(wireA, wireB) {
 			t.Fatal("ReadImage and DecodeImageBytes parsed different images")
+		}
+		if errB != nil || n != len(wireB) || !bytes.Equal(data[:n], wireB) {
+			t.Fatalf("walk measured %d bytes; AppendTo of the decoded image wrote %d (err %v), or other bytes",
+				n, len(wireB), errB)
+		}
+		if store.DigestWire(data[:n]) != store.DigestImage(imgB) {
+			t.Fatal("DigestWire of the accepted bytes differs from DigestImage of the decoded image")
 		}
 		if c, err := codec.New("intdct-w", codec.Params{Window: img.WindowSize}); err == nil {
 			for i := range img.Entries {

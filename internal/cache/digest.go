@@ -95,6 +95,14 @@ func (d *Hasher) WriteWords(words []rle.Word) {
 	}
 }
 
+// WriteWordBytes hashes a word stream given as its little-endian wire
+// bytes (4 per word): the same input WriteWords hashes for the decoded
+// words, without decoding them.
+func (d *Hasher) WriteWordBytes(raw []byte) {
+	d.WriteUint64(uint64(len(raw) / 4))
+	d.h.Write(raw)
+}
+
 // Key finalizes the digest. The Hasher may keep being written to and
 // finalized again (the digest then covers everything written so far).
 func (d *Hasher) Key() Key {

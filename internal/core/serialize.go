@@ -116,31 +116,34 @@ func (img *Image) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// DecodeImageBytes deserializes an image from an in-memory serialized
-// form (the same format ReadImage streams). It decodes directly from
-// b — no intermediate reader, chunked re-buffering, or partial-stream
-// copies: every length field is validated against the bytes actually
-// present before the single exact-size allocation that holds each
-// channel's words.
-func DecodeImageBytes(b []byte) (*Image, error) {
+// ValidateImageBytes walks a serialized image in place and returns the
+// length of the image at the front of b. It is the wire format's one
+// set of checks: every length field is validated against the bytes
+// actually present, the window against the engine's sizes, and the
+// entry, sample and word counts against their caps. It allocates
+// nothing, so paths that only keep and forward wire bytes validate
+// without building an Image. Bytes after the image are not examined;
+// b[:n] is exactly what AppendTo writes for the image DecodeImageBytes
+// builds from b.
+func ValidateImageBytes(b []byte) (int, error) {
 	d := byteDecoder{b: b}
 	m, err := d.bytes(4)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if string(m) != magic {
-		return nil, fmt.Errorf("core: bad magic %q", m)
+		return 0, fmt.Errorf("core: bad magic %q", m)
 	}
 	ver, err := d.uint16()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if ver != version {
-		return nil, fmt.Errorf("core: unsupported image version %d", ver)
+		return 0, fmt.Errorf("core: unsupported image version %d", ver)
 	}
 	ws, err := d.uint16()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	switch ws {
 	case 4, 8, 16, 32:
@@ -148,94 +151,100 @@ func DecodeImageBytes(b []byte) (*Image, error) {
 		// so any other window is hostile or corrupt and must be
 		// rejected before the window-walking metadata rebuild.
 	default:
-		return nil, fmt.Errorf("core: invalid window size %d", ws)
+		return 0, fmt.Errorf("core: invalid window size %d", ws)
 	}
-	img := &Image{WindowSize: int(ws)}
-	if img.Machine, err = d.str(); err != nil {
-		return nil, err
+	if _, err := d.str(); err != nil { // machine
+		return 0, err
 	}
 	count, err := d.uint32()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if count > maxImageEntries {
-		return nil, fmt.Errorf("core: implausible entry count %d", count)
-	}
-	// Entries are sized from the bytes present, not the declared count:
-	// each entry is at least 30 bytes on the wire, so a hostile header
-	// cannot force a large up-front allocation.
-	const minEntryBytes = 30
-	if max := len(d.b)/minEntryBytes + 1; count > 0 && int(count) <= max {
-		img.Entries = make([]Entry, 0, count)
+		return 0, fmt.Errorf("core: implausible entry count %d", count)
 	}
 	for i := uint32(0); i < count; i++ {
-		var e Entry
-		if e.Key, err = d.str(); err != nil {
-			return nil, err
+		if _, err := d.str(); err != nil { // key
+			return 0, err
 		}
-		if e.Gate, err = d.str(); err != nil {
-			return nil, err
+		if _, err := d.str(); err != nil { // gate
+			return 0, err
 		}
-		q, err := d.uint32()
+		if _, err := d.bytes(4 + 4 + 8); err != nil { // qubit, target, sample rate
+			return 0, err
+		}
+		samples, err := d.uint32()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		tgt, err := d.uint32()
-		if err != nil {
-			return nil, err
+		if samples > maxImageSamples {
+			return 0, fmt.Errorf("core: implausible sample count %d", samples)
 		}
-		e.Qubit, e.Target = int(int32(q)), int(int32(tgt))
+		for range 2 { // I, Q
+			wc, err := d.uint32()
+			if err != nil {
+				return 0, err
+			}
+			if wc > maxStreamWords {
+				return 0, fmt.Errorf("core: implausible stream length %d", wc)
+			}
+			if err := plausibleSamples(samples, wc, int(ws)); err != nil {
+				return 0, err
+			}
+			if _, err := d.bytes(4 * int(wc)); err != nil {
+				return 0, err
+			}
+		}
+	}
+	return d.off, nil
+}
+
+// DecodeImageBytes deserializes an image from an in-memory serialized
+// form (the same format ReadImage streams). ValidateImageBytes checks
+// the bytes first; only then is the image built, reading fields
+// straight from b with one exact-size allocation per string and word
+// stream — every count is already known to be backed by bytes present.
+func DecodeImageBytes(b []byte) (*Image, error) {
+	n, err := ValidateImageBytes(b)
+	if err != nil {
+		return nil, err
+	}
+	le := binary.LittleEndian
+	d := byteDecoder{b: b[:n], off: len(magic) + 2} // past magic and version
+	ws := int(le.Uint16(d.next(2)))
+	img := &Image{WindowSize: ws, Machine: string(d.nextStr())}
+	if count := le.Uint32(d.next(4)); count > 0 {
+		img.Entries = make([]Entry, count)
+	}
+	for i := range img.Entries {
+		e := &img.Entries[i]
+		e.Key = string(d.nextStr())
+		e.Gate = string(d.nextStr())
+		e.Qubit = int(int32(le.Uint32(d.next(4))))
+		e.Target = int(int32(le.Uint32(d.next(4))))
 		c := &compress.Compressed{
 			Name:       e.Key,
 			Variant:    compress.IntDCTW,
-			WindowSize: int(ws),
+			WindowSize: ws,
 		}
-		rate, err := d.uint64()
-		if err != nil {
-			return nil, err
-		}
-		c.SampleRate = math.Float64frombits(rate)
-		samples, err := d.uint32()
-		if err != nil {
-			return nil, err
-		}
-		if samples > maxImageSamples {
-			return nil, fmt.Errorf("core: implausible sample count %d", samples)
-		}
-		c.Samples = int(samples)
+		c.SampleRate = math.Float64frombits(le.Uint64(d.next(8)))
+		c.Samples = int(le.Uint32(d.next(4)))
 		for _, ch := range []*compress.Channel{&c.I, &c.Q} {
-			wc, err := d.uint32()
-			if err != nil {
-				return nil, err
-			}
-			if wc > maxStreamWords {
-				return nil, fmt.Errorf("core: implausible stream length %d", wc)
-			}
-			if err := plausibleSamples(samples, wc, int(ws)); err != nil {
-				return nil, err
-			}
-			// All words must already be present in b; checking before
-			// allocating means the exact-size stream allocation can
-			// never exceed the input's own footprint.
-			raw, err := d.bytes(4 * int(wc))
-			if err != nil {
-				return nil, err
-			}
-			ch.Stream = make([]rle.Word, wc)
+			raw := d.next(4 * int(le.Uint32(d.next(4))))
+			ch.Stream = make([]rle.Word, len(raw)/4)
 			for j := range ch.Stream {
-				ch.Stream[j] = rle.Word(binary.LittleEndian.Uint32(raw[4*j:]))
+				ch.Stream[j] = rle.Word(le.Uint32(raw[4*j:]))
 			}
-			rebuildChannelMeta(ch, int(ws))
+			rebuildChannelMeta(ch, ws)
 		}
 		e.Compressed = c
-		img.Entries = append(img.Entries, e)
 	}
 	return img, nil
 }
 
 // plausibleSamples rejects channels claiming more samples than their
 // words could ever decode to (shared between ReadImage and
-// DecodeImageBytes; see the wire-format hardening notes in ReadImage).
+// ValidateImageBytes; see the wire-format hardening notes in ReadImage).
 func plausibleSamples(samples, words uint32, ws int) error {
 	maxPerWord := uint64(rle.MaxRun)
 	if uint64(ws) > maxPerWord {
@@ -248,8 +257,9 @@ func plausibleSamples(samples, words uint32, ws int) error {
 }
 
 // byteDecoder walks a serialized image in place. Its accessors return
-// subslices of the input; only strings and word streams materialize
-// new memory, each in one exact-size allocation.
+// subslices of the input and never allocate. The checked ones (bytes,
+// uint16, uint32, str) are ValidateImageBytes'; next and nextStr read
+// fields the walk has already shown to be present.
 type byteDecoder struct {
 	b   []byte
 	off int
@@ -257,13 +267,21 @@ type byteDecoder struct {
 
 var errTruncated = fmt.Errorf("core: truncated image: %w", io.ErrUnexpectedEOF)
 
+func (d *byteDecoder) next(n int) []byte {
+	s := d.b[d.off : d.off+n]
+	d.off += n
+	return s
+}
+
+func (d *byteDecoder) nextStr() []byte {
+	return d.next(int(binary.LittleEndian.Uint16(d.next(2))))
+}
+
 func (d *byteDecoder) bytes(n int) ([]byte, error) {
 	if len(d.b)-d.off < n {
 		return nil, errTruncated
 	}
-	s := d.b[d.off : d.off+n]
-	d.off += n
-	return s, nil
+	return d.next(n), nil
 }
 
 func (d *byteDecoder) uint16() (uint16, error) {
@@ -282,22 +300,10 @@ func (d *byteDecoder) uint32() (uint32, error) {
 	return binary.LittleEndian.Uint32(s), nil
 }
 
-func (d *byteDecoder) uint64() (uint64, error) {
-	s, err := d.bytes(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(s), nil
-}
-
-func (d *byteDecoder) str() (string, error) {
+func (d *byteDecoder) str() ([]byte, error) {
 	n, err := d.uint16()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	s, err := d.bytes(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(s), nil
+	return d.bytes(int(n))
 }

@@ -58,3 +58,22 @@ func BenchmarkImageDecodeBytes(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkImageValidateBytes is BenchmarkImageDecodeBytes' check
+// without the build: what a PUT, a peer fill or a repair pays to
+// accept an image it only keeps and serves as bytes.
+func BenchmarkImageValidateBytes(b *testing.B) {
+	img := benchImage(b)
+	wire, err := img.AppendTo(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(wire)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ValidateImageBytes(wire); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

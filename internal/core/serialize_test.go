@@ -64,6 +64,47 @@ func TestAppendToMatchesWriteTo(t *testing.T) {
 	}
 }
 
+// TestValidateImageBytes pins the walk to the decoder it guards: on
+// every prefix of a real library the two accept or reject together,
+// the walk reports the image's exact length and ignores trailing
+// bytes, re-serializing the decoded image gives the input back, and
+// the walk allocates nothing.
+func TestValidateImageBytes(t *testing.T) {
+	wire, err := testImage(t).AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= len(wire); i++ {
+		n, err := ValidateImageBytes(wire[:i])
+		_, derr := DecodeImageBytes(wire[:i])
+		if (err == nil) != (derr == nil) {
+			t.Fatalf("prefix %d: walk err = %v, decode err = %v", i, err, derr)
+		}
+		if err == nil && n != i {
+			t.Fatalf("prefix %d: walk accepted %d bytes", i, n)
+		}
+	}
+	if n, err := ValidateImageBytes(append(wire[:len(wire):len(wire)], "JUNK"...)); err != nil || n != len(wire) {
+		t.Fatalf("image + trailing bytes: n = %d, err = %v; want %d, nil", n, err, len(wire))
+	}
+	img, err := DecodeImageBytes(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := img.AppendTo(nil)
+	if err != nil || !bytes.Equal(again, wire) {
+		t.Fatalf("decode then AppendTo changed the bytes (err %v)", err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ValidateImageBytes(wire); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ValidateImageBytes allocated %.1f times per run, want 0", allocs)
+	}
+}
+
 func TestAppendToPreSizedAllocationFree(t *testing.T) {
 	img := testImage(t)
 	dst := make([]byte, 0, img.Size())

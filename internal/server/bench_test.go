@@ -2,13 +2,16 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"compaqt"
 	"compaqt/client"
+	"compaqt/qctrl"
 )
 
 // benchStoreDir builds a store directory holding one compiled image
@@ -45,7 +48,7 @@ func benchStoreDir(b *testing.B) (string, int) {
 }
 
 // BenchmarkServerImageGETFromStoreWarm measures GET /v1/images/{name}
-// served from the persistent store after a restart: the in-memory map
+// served from the persistent store after a restart: the image index
 // is empty, so every request goes manifest-recovered mmap bytes ->
 // response writer. The ISSUE target is parity with the in-memory GET
 // (<= 1us, <= 4 allocs/op); the gated figure is allocs/op.
@@ -244,6 +247,41 @@ func BenchmarkServerImageGetHTTP(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if w := br.do(); w.status != http.StatusOK {
+			b.Fatalf("status %d", w.status)
+		}
+	}
+}
+
+// BenchmarkServerImagePUT measures PUT /v1/images/{name} of a Bogota
+// library through the handler: the body read, the validating walk and
+// the index insert that replication and peer fills share. The gated
+// figure is allocs/op; the image is never decoded.
+func BenchmarkServerImagePUT(b *testing.B) {
+	svc, err := compaqt.New(compaqt.WithWindow(8))
+	if err != nil {
+		b.Fatal(err)
+	}
+	img, err := svc.Compile(context.Background(), qctrl.Bogota())
+	if err != nil {
+		b.Fatal(err)
+	}
+	wire, err := img.AppendTo(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := New(Config{Parallelism: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	br := newBenchRequester(srv.Handler(), http.MethodPut, "/v1/images/bogota", wire)
+	if w := br.do(); w.status != http.StatusNoContent {
+		b.Fatalf("warmup status %d", w.status)
+	}
+	b.SetBytes(int64(len(wire)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if w := br.do(); w.status != http.StatusNoContent {
 			b.Fatalf("status %d", w.status)
 		}
 	}

@@ -115,7 +115,7 @@ func benchHTTPGet(b *testing.B, url string) {
 
 // BenchmarkServerImageGETForwarded measures a cross-shard GET: client
 // -> front node over HTTP, ring lookup, forward to the owning peer
-// over the pooled peer client, decode-validate, stream back. The
+// over the pooled peer client, relay the body back. The
 // pure-proxy front keeps every iteration on the forwarded path. Gate:
 // <= 2x BenchmarkServerImageGETLocalHTTP (one hop vs two).
 func BenchmarkServerImageGETForwarded(b *testing.B) {

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -402,7 +403,8 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Image != "" {
-		si := s.storeImage(req.Image, img)
+		si := &storedImage{img: img}
+		s.storeImage(req.Image, si)
 		s.publishToCluster(ctx, req.Image, si)
 	}
 	sc.resp = client.CompileResponse{
@@ -491,7 +493,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	var si *storedImage
 	if req.Image != "" {
-		si = s.storeImage(req.Image, img)
+		si = &storedImage{img: img}
+		s.storeImage(req.Image, si)
 		s.publishToCluster(ctx, req.Image, si)
 	}
 	entries := sc.resp.Entries[:0]
@@ -504,16 +507,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Stats:   imageStats(img),
 	}
 	if req.IncludeImage {
-		// A stored image shares its memoized digest with later GETs;
-		// an unstored one is a one-shot response and skips the byte
-		// cache entirely.
-		var b64 string
-		var err error
-		if si != nil {
-			b64, err = s.wireB64(img, si.digest(), true)
-		} else {
-			b64, err = s.wireB64(img, imageDigest(img), false)
+		// A named image encodes its indexed bytes; an unnamed one is
+		// serialized for this response only.
+		if si == nil {
+			si = &storedImage{img: img}
 		}
+		wire, err := si.bytes()
 		if err != nil {
 			// Typically: the wire format stores int-DCT-W only and the
 			// batch used another codec. The compile itself succeeded, so
@@ -521,7 +520,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, badRequest("include_image: %v", err))
 			return
 		}
-		sc.resp.ImageB64 = b64
+		sc.resp.ImageB64 = base64.StdEncoding.EncodeToString(wire)
 	}
 	s.writeJSON(w, http.StatusOK, &sc.resp)
 }
@@ -532,17 +531,11 @@ func (s *Server) handleImage(w http.ResponseWriter, r *http.Request) {
 	si, ok := s.image(name)
 	if !ok {
 		// Fall back to the persistent store: images compiled before the
-		// last restart (or evicted from the in-memory map) serve
-		// straight from their mmap'd wire bytes — no recompile, no
-		// serialization, no copy.
+		// last restart (or evicted from the index) serve straight from
+		// their mmap'd wire bytes — no recompile, no copy.
 		if s.store != nil {
 			if blob, hit := s.store.Get(name); hit {
-				h := w.Header()
-				h["Content-Type"] = octetStreamContentType
-				h.Set("Content-Length", strconv.Itoa(len(blob.Bytes())))
-				if _, err := w.Write(blob.Bytes()); err != nil {
-					s.noteWriteError(err)
-				}
+				s.writeWire(w, blob.Bytes())
 				blob.Release()
 				return
 			}
@@ -557,15 +550,16 @@ func (s *Server) handleImage(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("no stored image %q", name)})
 		return
 	}
-	// Serialize (or fetch the cached bytes) before writing the header,
-	// so a wire-format error can still become a clean JSON failure
-	// instead of a truncated binary body. Unchanged images are
-	// serialized once: repeats stream the shared cached buffer.
-	wire, err := s.wireBytes(si.img, si.digest(), true)
+	wire, err := si.bytes()
 	if err != nil {
 		s.fail(w, badRequest("image %q: %v", name, err))
 		return
 	}
+	s.writeWire(w, wire)
+}
+
+// writeWire answers with image wire bytes.
+func (s *Server) writeWire(w http.ResponseWriter, wire []byte) {
 	h := w.Header()
 	h["Content-Type"] = octetStreamContentType
 	h.Set("Content-Length", strconv.Itoa(len(wire)))
@@ -577,8 +571,8 @@ func (s *Server) handleImage(w http.ResponseWriter, r *http.Request) {
 // serveImageForwarded answers a local image miss from the cluster: the
 // name's digest routes to its ring owner (and replica successors on
 // failure) through the pooled retrying/hedging peer client. The
-// default mode buffers the peer's bytes, decode-validates them and
-// writes them through to the local map and store, so each image
+// default mode buffers the peer's bytes, validates them and indexes
+// exactly the image (written through to the store), so each image
 // migrates to every node that serves it and the next GET is local.
 // Pure-proxy mode (ClusterNoFill) instead pipes the peer's body
 // straight into the response — the two network hops overlap, nothing
@@ -609,12 +603,7 @@ func (s *Server) serveImageForwarded(w http.ResponseWriter, r *http.Request, nam
 				})
 				return
 			}
-			h := w.Header()
-			h["Content-Type"] = octetStreamContentType
-			h.Set("Content-Length", strconv.FormatInt(n, 10))
-			if _, err := w.Write(b); err != nil {
-				s.noteWriteError(err)
-			}
+			s.writeWire(w, b)
 			return
 		}
 		// Unknown or oversized length: pipe the peer's body straight
@@ -638,10 +627,12 @@ func (s *Server) serveImageForwarded(w http.ResponseWriter, r *http.Request, nam
 		s.failForward(w, name, err)
 		return
 	}
-	// Decode-validate before anything touches local state: a peer, like
-	// any network input, is not trusted to hand back a well-formed
-	// image, and the store must never be poisoned.
-	img, err := compaqt.DecodeImageBytes(wire)
+	// Validate before anything touches local state: a peer, like any
+	// network input, is not trusted to hand back a well-formed image,
+	// and the store must never be poisoned. This response and every
+	// later GET serve the same bytes: the image, without anything the
+	// peer sent after it.
+	si, err := receivedImage(wire)
 	if err != nil {
 		s.fail(w, &httpError{
 			status:     http.StatusBadGateway,
@@ -650,16 +641,11 @@ func (s *Server) serveImageForwarded(w http.ResponseWriter, r *http.Request, nam
 		})
 		return
 	}
-	// Write-through fill: the in-memory map for the next GET, the
-	// persistent store (inside storeImage) for restarts.
-	s.storeImage(name, img)
+	// Write-through fill: the index for the next GET, the persistent
+	// store (inside storeImage) for restarts.
+	s.storeImage(name, si)
 	s.cluster.NoteFill()
-	h := w.Header()
-	h["Content-Type"] = octetStreamContentType
-	h.Set("Content-Length", strconv.Itoa(len(wire)))
-	if _, err := w.Write(wire); err != nil {
-		s.noteWriteError(err)
-	}
+	s.writeWire(w, si.wire)
 }
 
 // failForward maps a cluster fetch failure onto the wire: a replica-set
@@ -686,9 +672,9 @@ func (s *Server) failForward(w http.ResponseWriter, name string, err error) {
 // handleImagePut ingests serialized wire-format image bytes under a
 // name — the receiving half of cluster replication (peers push
 // compiled images to their digest's owner here), and a handy admin
-// primitive on any node. The body is decoded and validated before
-// anything is stored; the store dedups identical content by digest, so
-// re-publishing is a metadata touch.
+// primitive on any node. The body is validated before anything is
+// stored, and exactly its image is indexed; the store dedups identical
+// content by digest, so re-publishing is a metadata touch.
 func (s *Server) handleImagePut(w http.ResponseWriter, r *http.Request) {
 	s.m.requests.Add(1)
 	name := r.PathValue("name")
@@ -699,13 +685,17 @@ func (s *Server) handleImagePut(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	if r.ContentLength < 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	// The body buffer is fresh, never pooled: the index keeps it as the
+	// image's bytes. A declared length sizes it exactly, so the index
+	// holds no read-ahead capacity.
+	var wire []byte
+	var err error
+	if r.ContentLength >= 0 {
+		wire = make([]byte, r.ContentLength)
+		_, err = io.ReadFull(r.Body, wire)
+	} else {
+		wire, err = io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	}
-	// The buffer is deliberately fresh, not pooled: DecodeImageBytes is
-	// zero-copy, so the stored image's streams alias these bytes for
-	// its whole lifetime.
-	wire, err := io.ReadAll(r.Body)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -718,12 +708,12 @@ func (s *Server) handleImagePut(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, badRequest("reading request body: %v", err))
 		return
 	}
-	img, err := compaqt.DecodeImageBytes(wire)
+	si, err := receivedImage(wire)
 	if err != nil {
 		s.fail(w, badRequest("image %q: invalid wire bytes: %v", name, err))
 		return
 	}
-	s.storeImage(name, img)
+	s.storeImage(name, si)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -766,7 +756,7 @@ func (s *Server) publishToCluster(ctx context.Context, name string, si *storedIm
 	if s.cluster == nil {
 		return
 	}
-	wire, err := s.wireBytes(si.img, si.digest(), true)
+	wire, err := si.bytes()
 	if err != nil {
 		// Not representable on the wire (non-int-DCT-W codec): nothing
 		// the peers could serve either.

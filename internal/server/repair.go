@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"compaqt"
 	"compaqt/client"
 	"compaqt/internal/cache"
 	"compaqt/internal/cluster"
@@ -38,7 +37,7 @@ func (s *Server) handleGossip(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDigests answers GET /v1/cluster/digests: every image this node
-// can serve (in-memory map united with the persistent store), with
+// can serve (the index united with the persistent store), with
 // content digests and wire sizes — the listing a repairing peer diffs
 // against its own holdings.
 func (s *Server) handleDigests(w http.ResponseWriter, r *http.Request) {
@@ -50,8 +49,7 @@ func (s *Server) handleDigests(w http.ResponseWriter, r *http.Request) {
 }
 
 // localDigests lists this node's holdings. Store bindings win over the
-// in-memory map on name collisions — the store's copy is the durable
-// one, and its size is known without serializing.
+// index on name collisions — the store's copy is the durable one.
 func (s *Server) localDigests() []client.ImageDigest {
 	seen := make(map[string]bool)
 	var out []client.ImageDigest
@@ -78,22 +76,23 @@ func (s *Server) localDigests() []client.ImageDigest {
 			continue
 		}
 		// Unrepresentable images (non-wire codecs) have nothing a peer
-		// could stream; skip them like GET /v1/images would fail them.
-		if _, err := si.img.AppendTo(nil); err != nil {
+		// could stream; skip them like GET /v1/images fails them.
+		wire, err := si.bytes()
+		if err != nil {
 			continue
 		}
 		k := si.digest()
 		out = append(out, client.ImageDigest{
 			Name:   name,
 			Digest: hex.EncodeToString(k[:]),
-			Size:   int64(si.img.Size()),
+			Size:   int64(len(wire)),
 		})
 	}
 	return out
 }
 
 // hasImage reports whether this node already holds name at exactly the
-// given content digest (in the store or the in-memory map).
+// given content digest (in the store or the index).
 func (s *Server) hasImage(name, digest string) bool {
 	raw, err := hex.DecodeString(digest)
 	var k cache.Key
@@ -105,7 +104,8 @@ func (s *Server) hasImage(name, digest string) bool {
 		return true
 	}
 	if si, ok := s.image(name); ok {
-		return si.digest() == k
+		_, err := si.bytes()
+		return err == nil && si.digest() == k
 	}
 	return false
 }
@@ -117,10 +117,10 @@ const repairConcurrency = 4
 // RepairOnce runs one anti-entropy round: ask every live peer for its
 // digest listing, keep the images this node owns (by ring placement)
 // but does not hold at the advertised digest, and stream them from
-// their holders — decode-validated, written through to the map and
-// store like any trusted-ingress path. Returns the number of images
-// repaired. The background loop calls it on RepairInterval; tests call
-// it directly for determinism.
+// their holders — validated, indexed and written through to the store
+// like any other ingress. Returns the number of images repaired. The
+// background loop calls it on RepairInterval; tests call it directly
+// for determinism.
 func (s *Server) RepairOnce(ctx context.Context) int {
 	if s.cluster == nil {
 		return 0
@@ -161,14 +161,14 @@ func (s *Server) RepairOnce(ctx context.Context) int {
 			if err != nil {
 				return
 			}
-			// Decode-validate before anything touches local state: a peer,
-			// like any network input, is not trusted to hand back a
+			// Validate before anything touches local state: a peer, like
+			// any network input, is not trusted to hand back a
 			// well-formed image.
-			img, err := compaqt.DecodeImageBytes(wire)
+			si, err := receivedImage(wire)
 			if err != nil {
 				return
 			}
-			s.storeImage(wnt.name, img)
+			s.storeImage(wnt.name, si)
 			s.cluster.NoteRepair()
 			mu.Lock()
 			repaired++

@@ -163,7 +163,7 @@ func TestGossipEndpointRejectsSelf(t *testing.T) {
 
 // TestClusterRepairStreamsJoinedShard is the anti-entropy proof: a node
 // that joins after the corpus was compiled pulls exactly the shard it
-// owns from the current holders — decode-validated, written through,
+// owns from the current holders — validated, written through,
 // zero compiles.
 func TestClusterRepairStreamsJoinedShard(t *testing.T) {
 	urls := reserveURLs(t, 3)

@@ -31,6 +31,7 @@
 package server
 
 import (
+	"bytes"
 	"container/list"
 	"context"
 	"errors"
@@ -47,6 +48,7 @@ import (
 	"compaqt/client"
 	"compaqt/internal/cache"
 	"compaqt/internal/cluster"
+	"compaqt/internal/core"
 	"compaqt/internal/store"
 )
 
@@ -83,7 +85,7 @@ type Config struct {
 	MaxBodyBytes int64
 	// MaxBatchPulses bounds the pulse count of one batch; 0 means 8192.
 	MaxBatchPulses int
-	// MaxImages bounds the stored-image map; the oldest image is
+	// MaxImages bounds the image index; the oldest image is
 	// evicted beyond it. 0 means 128.
 	MaxImages int
 	// DrainTimeout bounds Run's graceful shutdown; 0 means 30s.
@@ -192,22 +194,19 @@ type Server struct {
 	// sem is the admission semaphore bounding concurrent compiles.
 	sem chan struct{}
 
-	// images stores compiled images for GET /v1/images/{name};
-	// imageOrder tracks insertion for FIFO eviction at MaxImages.
+	// images is the image index: name -> wire bytes, for GET
+	// /v1/images/{name}, publish, include_image and the digest
+	// listing. imageOrder tracks insertion for FIFO eviction at
+	// MaxImages.
 	imagesMu   sync.Mutex
 	images     map[string]*storedImage
 	imageOrder []string
 
-	// wire caches serialized image bytes (and their base64 forms)
-	// keyed by content digest, so unchanged images are serialized once
-	// and then streamed from shared buffers (see serialize.go).
-	wire *cache.LRU
-
 	// store, when non-nil, is the persistent image store
-	// (Config.StoreDir): image GETs fall back to it when the in-memory
-	// map misses — the warm-restart path. storeImage is its only
-	// writer, so only named images are persisted, once each; the
-	// services compile without a store.
+	// (Config.StoreDir): image GETs fall back to it when the index
+	// misses — the warm-restart path. storeImage is its only writer,
+	// so only named images are persisted, once each; the services
+	// compile without a store.
 	store *store.Store
 
 	// cluster, when non-nil, is this node's membership in the
@@ -233,18 +232,65 @@ type derivedEntry struct {
 	svc *compaqt.Service
 }
 
-// storedImage is one compiled image held for GET /v1/images/{name},
-// with its content digest memoized on first use (images are immutable
-// after compile, so the digest is computed at most once).
+// storedImage is one indexed image, served, published and listed as
+// exactly its wire bytes. wire is a buffer nothing else writes — a
+// compile's own serialization, or a fresh PUT or peer body trimmed to
+// the image ValidateImageBytes measured — so every response shares it.
+// A compile is indexed as img and serialized on first use, at most
+// once, after which img is dropped: a compile nothing reads as bytes
+// costs no memory beyond what its entries share with the compile
+// cache. A compile the wire format cannot hold (a codec other than
+// int-DCT-W) keeps the serialization error instead: GET answers it
+// 400, and publish, the store and the digest listing skip it.
 type storedImage struct {
-	img  *compaqt.Image
-	once sync.Once
-	key  cache.Key
+	serialize sync.Once
+	img       *compaqt.Image
+	wire      []byte
+	err       error
+
+	// key is the content digest of wire, computed on first use — a
+	// store put, the digest listing, a repair check — at most once.
+	digestOnce sync.Once
+	key        cache.Key
 }
 
+// bytes returns the image's wire bytes, serializing a compile on first
+// use.
+func (si *storedImage) bytes() ([]byte, error) {
+	si.serialize.Do(func() {
+		if si.img == nil {
+			return
+		}
+		wire, err := si.img.AppendTo(make([]byte, 0, si.img.Size()))
+		if err != nil {
+			si.err = err
+		} else {
+			si.wire = wire
+		}
+		si.img = nil
+	})
+	return si.wire, si.err
+}
+
+// digest returns the content digest of an image whose bytes() succeeded.
 func (si *storedImage) digest() cache.Key {
-	si.once.Do(func() { si.key = imageDigest(si.img) })
+	si.digestOnce.Do(func() { si.key = store.DigestWire(si.wire) })
 	return si.key
+}
+
+// receivedImage validates image bytes that arrived from a client or a
+// peer and returns exactly the image for the index. Bytes trailing the
+// image are dropped, the image copied out so the index never pins
+// them.
+func receivedImage(b []byte) (*storedImage, error) {
+	n, err := core.ValidateImageBytes(b)
+	if err != nil {
+		return nil, err
+	}
+	if n < len(b) {
+		b = bytes.Clone(b[:n])
+	}
+	return &storedImage{wire: b}, nil
 }
 
 // metrics are the server's counters; all fields are atomics so the
@@ -294,10 +340,7 @@ func New(cfg Config) (*Server, error) {
 		derivedLL: list.New(),
 		sem:       make(chan struct{}, cfg.MaxInFlight),
 		images:    map[string]*storedImage{},
-		// Room for every stored image's wire bytes and base64 form,
-		// plus headroom for include_image responses of unstored images.
-		wire:  cache.NewLRU(4 * cfg.MaxImages),
-		stopc: make(chan struct{}),
+		stopc:     make(chan struct{}),
 	}
 	svc, err := compaqt.New(s.baseOptions(nil)...)
 	if err != nil {
@@ -527,11 +570,10 @@ func (s *Server) release() {
 	<-s.sem
 }
 
-// storeImage records a compiled image for GET /v1/images/{name},
-// evicting the oldest stored image beyond MaxImages, and writes it
-// through to the persistent store when one is configured.
-func (s *Server) storeImage(name string, img *compaqt.Image) *storedImage {
-	si := &storedImage{img: img}
+// storeImage indexes an image under name, evicting the oldest indexed
+// image beyond MaxImages, and writes its bytes through to the
+// persistent store when one is configured.
+func (s *Server) storeImage(name string, si *storedImage) {
 	s.imagesMu.Lock()
 	if _, exists := s.images[name]; !exists {
 		s.imageOrder = append(s.imageOrder, name)
@@ -542,10 +584,12 @@ func (s *Server) storeImage(name string, img *compaqt.Image) *storedImage {
 	}
 	s.images[name] = si
 	s.imagesMu.Unlock()
-	if s.store != nil {
-		_ = s.store.PutImage(name, img)
+	if s.store == nil {
+		return
 	}
-	return si
+	if wire, err := si.bytes(); err == nil {
+		_ = s.store.Put(name, si.digest(), wire)
+	}
 }
 
 func (s *Server) image(name string) (*storedImage, bool) {
@@ -556,8 +600,8 @@ func (s *Server) image(name string) (*storedImage, bool) {
 }
 
 // imageNames lists every name a GET /v1/images/{name} would serve:
-// the in-memory map united with the persistent store's bindings
-// (which outlive restarts and in-memory eviction), deduplicated and
+// the index united with the persistent store's bindings
+// (which outlive restarts and index eviction), deduplicated and
 // sorted.
 func (s *Server) imageNames() []string {
 	s.imagesMu.Lock()

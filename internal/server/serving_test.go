@@ -101,10 +101,10 @@ func TestWriteErrorsCounted(t *testing.T) {
 	}
 }
 
-// TestImageBytesStableAcrossCachedServes: the digest-keyed byte cache
-// must serve exactly the bytes a fresh serialization would, for both
-// the raw image endpoint and the base64 batch form, across repeats and
-// across an image being replaced under the same name.
+// TestImageBytesStableAcrossCachedServes: the image index must serve
+// exactly the bytes a fresh serialization would, for both the raw
+// image endpoint and the base64 batch form, across repeats and across
+// an image being replaced under the same name.
 func TestImageBytesStableAcrossCachedServes(t *testing.T) {
 	_, _, cl := newTestServer(t, Config{})
 	ctx := context.Background()
