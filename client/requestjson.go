@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 )
@@ -168,27 +167,6 @@ func appendFloats(b []byte, fs []float64) ([]byte, error) {
 		}
 	}
 	return append(b, ']'), nil
-}
-
-// appendFloat writes f as encoding/json does: the shortest decimal that
-// round-trips, in 'f' form except below 1e-6 and from 1e21 up, where
-// 'e' form drops the exponent's leading zero.
-func appendFloat(b []byte, f float64) ([]byte, error) {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return nil, fmt.Errorf("client: unsupported value %v: JSON has no NaN or infinity", f)
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b, nil
 }
 
 // appendString writes s quoted. A string with anything encoding/json
@@ -554,56 +532,91 @@ func isHex(c byte) bool {
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
 // number moves past the number at d.off and returns its text, checked
-// against the JSON grammar: strconv alone would also take "Inf", hex
-// and digit separators.
-func (d *decoder) number() ([]byte, error) {
+// against the JSON grammar (strconv alone would also take "Inf", hex
+// and digit separators), reading its value into the zero *v on the way.
+func (d *decoder) number(v *decimal) ([]byte, error) {
 	data, start := d.data, d.off
 	if d.off < len(data) && data[d.off] == '-' {
+		v.neg = true
 		d.off++
 	}
 	if d.off < len(data) && data[d.off] == '0' {
 		d.off++
-	} else if err := d.digits("digit"); err != nil {
+	} else if err := d.digits(v, false, "digit"); err != nil {
 		return nil, err
 	}
 	if d.off < len(data) && data[d.off] == '.' {
 		d.off++
-		if err := d.digits("digit after decimal point"); err != nil {
+		if err := d.digits(v, true, "digit after decimal point"); err != nil {
 			return nil, err
 		}
 	}
 	if d.off < len(data) && (data[d.off] == 'e' || data[d.off] == 'E') {
 		d.off++
-		if d.off < len(data) && (data[d.off] == '+' || data[d.off] == '-') {
+		neg := d.off < len(data) && data[d.off] == '-'
+		if neg || d.off < len(data) && data[d.off] == '+' {
 			d.off++
 		}
-		if err := d.digits("digit in exponent"); err != nil {
-			return nil, err
+		e, i := 0, d.off
+		for ; i < len(data) && isDigit(data[i]); i++ {
+			if e < 10000 { // strconv's saturation
+				e = e*10 + int(data[i]-'0')
+			}
 		}
+		if i == d.off {
+			return nil, d.fail("digit in exponent")
+		}
+		d.off = i
+		if neg {
+			e = -e
+		}
+		v.exp += e
 	}
 	return data[start:d.off], nil
 }
 
-// digits moves past a run of at least one digit.
-func (d *decoder) digits(want string) error {
-	start := d.off
-	for d.off < len(d.data) && isDigit(d.data[d.off]) {
-		d.off++
+// digits moves past a run of at least one digit of the integer part or
+// (frac) the fraction, folding each into v.
+func (d *decoder) digits(v *decimal, frac bool, want string) error {
+	data, i := d.data, d.off
+	if frac && v.man == 0 {
+		// Leading zeros scale the value but are not significant.
+		for i < len(data) && data[i] == '0' {
+			i++
+		}
+		v.exp -= i - d.off
 	}
-	if d.off == start {
+	j, end, man := i, min(len(data), i+19-v.nd), v.man
+	for ; i < end && isDigit(data[i]); i++ {
+		man = man*10 + uint64(data[i]-'0')
+	}
+	v.man = man
+	v.nd += i - j
+	if frac {
+		v.exp -= i - j
+	}
+	j = i
+	for ; i < len(data) && isDigit(data[i]); i++ {
+		v.trunc = v.trunc || data[i] != '0'
+	}
+	if !frac {
+		v.exp += i - j
+	}
+	if i == d.off {
 		return d.fail(want)
 	}
+	d.off = i
 	return nil
 }
 
-// numberOrNull returns the text of the number at d.off, or nil for
-// null, which leaves a numeric field as it is.
-func (d *decoder) numberOrNull() ([]byte, error) {
+// numberOrNull returns the text of the number at d.off, reading its
+// value into *v, or nil for null, which leaves a numeric field as it is.
+func (d *decoder) numberOrNull(v *decimal) ([]byte, error) {
 	switch c := d.next(); {
 	case c == 'n':
 		return nil, d.literal("null")
 	case c == '-' || isDigit(c):
-		return d.number()
+		return d.number(v)
 	}
 	return nil, d.fail("number")
 }
@@ -611,13 +624,18 @@ func (d *decoder) numberOrNull() ([]byte, error) {
 // float decodes a number into *dst. A number out of float64's range is
 // an error, as in encoding/json.
 func (d *decoder) float(dst *float64) error {
-	num, err := d.numberOrNull()
+	var v decimal
+	num, err := d.numberOrNull(&v)
 	if num == nil {
 		return err
 	}
-	f, err := strconv.ParseFloat(string(num), 64)
-	if err != nil {
-		return fmt.Errorf("client: number %s out of float64 range", num)
+	f, ok := v.float()
+	if !ok {
+		// strconv decides the rare number the kernels cannot, and
+		// reports the range errors.
+		if f, err = strconv.ParseFloat(string(num), 64); err != nil {
+			return fmt.Errorf("client: number %s out of float64 range", num)
+		}
 	}
 	*dst = f
 	return nil
@@ -626,7 +644,8 @@ func (d *decoder) float(dst *float64) error {
 // int decodes an integer into *dst. Fractions, exponents and overflow
 // are errors, as in encoding/json.
 func (d *decoder) int(dst *int) error {
-	num, err := d.numberOrNull()
+	var v decimal
+	num, err := d.numberOrNull(&v)
 	if num == nil {
 		return err
 	}
@@ -680,7 +699,8 @@ func (d *decoder) skip() error {
 	case c == 'n':
 		return d.literal("null")
 	case c == '-' || isDigit(c):
-		_, err := d.number()
+		var v decimal
+		_, err := d.number(&v)
 		return err
 	}
 	return d.fail("value")

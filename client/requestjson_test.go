@@ -306,12 +306,17 @@ func checkPulseRequestJSON[T any](t *testing.T, first, second []byte,
 // BenchmarkPulseRequestJSON times the codec on a Guadalupe library
 // request (80 pulses, 141,312 samples) against encoding/json: encode as
 // Client.CompileBatch does, decode into a reused request as the server
-// does.
+// does. ns/float divides the time by the floats the body carries, its
+// samples and sample rates.
 func BenchmarkPulseRequestJSON(b *testing.B) {
 	req := libraryRequest(b, "ibmq_guadalupe")
 	body, err := json.Marshal(req)
 	if err != nil {
 		b.Fatal(err)
+	}
+	floats := 0
+	for _, p := range req.Pulses {
+		floats += 1 + len(p.I) + len(p.Q)
 	}
 	run := func(name string, fn func() error) {
 		b.Run(name, func(b *testing.B) {
@@ -322,6 +327,7 @@ func BenchmarkPulseRequestJSON(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*floats), "ns/float")
 		})
 	}
 	run("encode/codec", func() error {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -202,7 +203,14 @@ func requestContext(r *http.Request) (context.Context, context.CancelFunc, error
 		if ferr != nil {
 			return nil, nil, badRequest("invalid X-Request-Timeout %q (want a duration like 2s)", v)
 		}
-		d = time.Duration(secs * float64(time.Second))
+		// Go leaves converting an out-of-range float to an integer to
+		// the implementation, so range-check before converting; the
+		// negated comparison also catches NaN.
+		ns := secs * float64(time.Second)
+		if !(math.Abs(ns) < math.MaxInt64) {
+			return nil, nil, badRequest("X-Request-Timeout %q is out of range (want finite seconds, at most %v)", v, time.Duration(math.MaxInt64))
+		}
+		d = time.Duration(ns)
 	}
 	if d <= 0 {
 		return nil, nil, badRequest("X-Request-Timeout %q must be positive", v)

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -117,12 +119,21 @@ func TestRequestTimeoutHeaderInvalid400(t *testing.T) {
 	_, hs, _ := newTestServer(t, Config{})
 	p := testPulse(0, 1, 64)
 	req := client.CompileRequest{Pulse: client.FromPulse(p)}
-	for _, v := range []string{"soon", "-2s", "0"} {
+	// Bare seconds that are not finite or overflow a time.Duration are
+	// refused as such, not converted.
+	for _, v := range []string{"soon", "-2s", "0", "NaN", "Inf", "-Inf", "1e10"} {
 		h := http.Header{}
 		h.Set("X-Request-Timeout", v)
 		res := compilePost(t, hs.URL, req, h)
 		if res.StatusCode != http.StatusBadRequest {
 			t.Fatalf("X-Request-Timeout %q: status = %d, want 400", v, res.StatusCode)
+		}
+		body, err := io.ReadAll(res.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v == "1e10" && strings.Contains(string(body), "must be positive") {
+			t.Errorf("X-Request-Timeout %q: %s", v, body)
 		}
 	}
 }
