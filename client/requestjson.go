@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
+	"math"
+	"math/bits"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // This file is the one-pass JSON codec of the two request bodies that
@@ -18,6 +22,14 @@ import (
 // reference. It is called directly, not through json.Marshaler and
 // json.Unmarshaler: encoding/json would wrap it in a validation scan
 // and a compaction pass of its own.
+//
+// A scheduled circuit plays the same calibrated pulse many times, so a
+// batch body repeats whole sample arrays. Within one batch body each
+// distinct array is written, and read, once: the encoder copies a
+// repeat's text from earlier in its buffer, and the decoder copies a
+// repeat's values from the array that text already decoded into. What
+// decides a repeat is the float64 bits on the way out and the bytes on
+// the way in, never a hash alone, and nothing is kept past the call.
 
 // maxFloatLen bounds one encoded float64 with its separator: a sign, 17
 // significant digits, a point and up to five leading zeros in 'f' form
@@ -60,11 +72,12 @@ func pulseBound(p *PulseSpec) int {
 }
 
 // appendCompileRequest appends r's JSON encoding to b: json.Marshal's
-// bytes, without reflection.
+// bytes, without reflection. One pulse has nothing to repeat but q
+// equal to i, so it writes every array.
 func appendCompileRequest(b []byte, r *CompileRequest) ([]byte, error) {
 	b = appendImage(b, r.Image)
 	b = append(b, `"pulse":`...)
-	b, err := appendPulse(b, &r.Pulse)
+	b, err := appendPulse(b, &r.Pulse, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +88,7 @@ func appendCompileRequest(b []byte, r *CompileRequest) ([]byte, error) {
 }
 
 // appendBatchRequest appends r's JSON encoding to b: json.Marshal's
-// bytes, without reflection.
+// bytes, without reflection, writing each distinct sample array once.
 func appendBatchRequest(b []byte, r *BatchRequest) ([]byte, error) {
 	b = appendImage(b, r.Image)
 	b = append(b, `"pulses":`...)
@@ -83,12 +96,14 @@ func appendBatchRequest(b []byte, r *BatchRequest) ([]byte, error) {
 		b = append(b, "null"...)
 	} else {
 		b = append(b, '[')
+		// Twice as many slots as arrays: the table never fills.
+		seen := make([]sampleText, 1<<bits.Len(uint(4*len(r.Pulses))))
 		for i := range r.Pulses {
 			if i > 0 {
 				b = append(b, ',')
 			}
 			var err error
-			if b, err = appendPulse(b, &r.Pulses[i]); err != nil {
+			if b, err = appendPulse(b, &r.Pulses[i], seen); err != nil {
 				return nil, err
 			}
 		}
@@ -129,7 +144,8 @@ func appendOptions(b []byte, o *CompileOptions) ([]byte, error) {
 	return append(b, ob...), nil
 }
 
-func appendPulse(b []byte, p *PulseSpec) ([]byte, error) {
+// appendPulse appends p, its sample arrays through appendSamples.
+func appendPulse(b []byte, p *PulseSpec, seen []sampleText) ([]byte, error) {
 	b = append(b, `{"gate":`...)
 	b = appendString(b, p.Gate)
 	b = append(b, `,"qubit":`...)
@@ -142,14 +158,88 @@ func appendPulse(b []byte, p *PulseSpec) ([]byte, error) {
 		return nil, err
 	}
 	b = append(b, `,"i":`...)
-	if b, err = appendFloats(b, p.I); err != nil {
+	if b, err = appendSamples(b, p.I, seen); err != nil {
 		return nil, err
 	}
 	b = append(b, `,"q":`...)
-	if b, err = appendFloats(b, p.Q); err != nil {
+	if b, err = appendSamples(b, p.Q, seen); err != nil {
 		return nil, err
 	}
 	return append(b, '}'), nil
+}
+
+// sampleText is a sample array already written or read in the current
+// body: its values, where its text lies in the body, and (in the
+// encoder's table, which is not keyed by it) its hash.
+type sampleText struct {
+	hash     uint64
+	vals     []float64
+	off, end int
+}
+
+// appendSamples appends fs as appendFloats does. Given a table, an
+// array whose bits equal an earlier array's in the same body copies
+// that array's text from b: the text is a function of the bits, so the
+// bytes are the same, and sizeBound still holds. seen is open-addressed
+// by hashBits and never full; an array that finds a different array
+// under its hash is written and not recorded.
+func appendSamples(b []byte, fs []float64, seen []sampleText) ([]byte, error) {
+	if seen == nil || len(fs) == 0 {
+		return appendFloats(b, fs)
+	}
+	h := hashBits(fs)
+	mask := uint64(len(seen) - 1)
+	i := h & mask
+	for seen[i].vals != nil && seen[i].hash != h {
+		i = (i + 1) & mask
+	}
+	s := &seen[i]
+	if s.vals != nil {
+		if sameBits(s.vals, fs) {
+			return append(b, b[s.off:s.end]...), nil
+		}
+		return appendFloats(b, fs)
+	}
+	off := len(b)
+	b, err := appendFloats(b, fs)
+	if err != nil {
+		return nil, err
+	}
+	*s = sampleText{hash: h, vals: fs, off: off, end: len(b)}
+	return b, nil
+}
+
+// hashBits hashes the bit patterns of fs in two multiply–xorshift
+// lanes, which keep two multiplies in flight, then mixes the lanes.
+func hashBits(fs []float64) uint64 {
+	const m1, m2 = 0x9e3779b97f4a7c15, 0xbf58476d1ce4e5b9
+	h1, h2 := uint64(len(fs)), uint64(0)
+	i := 0
+	for ; i+1 < len(fs); i += 2 {
+		h1 = (h1 ^ math.Float64bits(fs[i])) * m1
+		h2 = (h2 ^ math.Float64bits(fs[i+1])) * m2
+		h1 ^= h1 >> 29
+		h2 ^= h2 >> 29
+	}
+	if i < len(fs) {
+		h1 = (h1 ^ math.Float64bits(fs[i])) * m1
+	}
+	h := (h1 ^ h2>>31 ^ h2<<33) * m2
+	return h ^ h>>32
+}
+
+// sameBits reports whether a and b hold the same bit patterns: -0 and
+// 0 are written differently, and == would take them as equal.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, f := range a {
+		if math.Float64bits(f) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func appendFloats(b []byte, fs []float64) ([]byte, error) {
@@ -221,14 +311,18 @@ func DecodeCompileRequest(data []byte, r *CompileRequest) error {
 // DecodeBatchRequest decodes a POST /v1/compile/batch body into r, as
 // DecodeCompileRequest does: exactly as json.Unmarshal into a zero
 // BatchRequest, keeping the capacity of r's pulse list and of every
-// pulse's I/Q arrays.
+// pulse's I/Q arrays, which must not share memory with each other (as
+// in a pooled r only these decoders fill). A sample array whose text
+// repeats an earlier one's in data is copied, not parsed again.
 func DecodeBatchRequest(data []byte, r *BatchRequest) error {
 	ps := r.Pulses[:cap(r.Pulses)]
 	for i := range ps {
 		ps[i].reset()
 	}
 	*r = BatchRequest{Pulses: ps[:0]}
-	d := decoder{data: data}
+	seen := sampleTables.Get().(map[uint64]sampleText)
+	defer releaseSampleTable(seen)
+	d := decoder{data: data, seen: seen}
 	return d.decode(func(key []byte) error {
 		switch field(key, batchFields) {
 		case 0:
@@ -254,12 +348,30 @@ func (p *PulseSpec) reset() {
 	*p = PulseSpec{I: i[:0], Q: q[:0]}
 }
 
+// sampleTables holds the batch decoder's tables of the sample arrays
+// already read in a body, keyed by a maphash of their text.
+var sampleTables = sync.Pool{New: func() any { return make(map[uint64]sampleText) }}
+
+// sampleSeed keys the text hash; one per process suffices, since a
+// colliding pair of arrays costs only a parse.
+var sampleSeed = maphash.MakeSeed()
+
+// releaseSampleTable empties a table, which points into a request's
+// body and arrays, and pools it; it keeps its capacity.
+func releaseSampleTable(seen map[uint64]sampleText) {
+	clear(seen)
+	sampleTables.Put(seen)
+}
+
 // decoder walks one JSON body. Each method decodes the value at d.off,
 // skipping the whitespace before it, and leaves d.off just past it.
 type decoder struct {
 	data  []byte
 	off   int
 	depth int
+	// seen records the sample arrays decoded so far in a batch body; it
+	// is nil in a compile body and once repeats are no longer trusted.
+	seen map[uint64]sampleText
 }
 
 // decode decodes the whole body as one object, given its members.
@@ -407,12 +519,55 @@ func (d *decoder) pulse(p *PulseSpec) error {
 		case 3:
 			return d.float(&p.SampleRate)
 		case 4:
-			return decodeSlice(d, &p.I, d.float)
+			return d.samples(&p.I)
 		case 5:
-			return decodeSlice(d, &p.Q, d.float)
+			return d.samples(&p.Q)
 		}
 		return d.skip()
 	})
+}
+
+// samples decodes a pulse's i or q array into *dst as decodeSlice does.
+// An array whose text, from '[' to the first ']', is byte-identical to
+// one already decoded in this body takes a copy of that array's values
+// instead of being parsed. Each array is compared with at most one
+// recorded array, the one under its text's hash, so the work stays
+// linear in the body whatever it holds.
+func (d *decoder) samples(dst *[]float64) error {
+	if d.seen != nil && len(*dst) > 0 {
+		// A repeated "i", "q" or "pulses" member decodes in place over
+		// an array a recorded span may point at.
+		d.seen = nil
+	}
+	if d.seen == nil || d.next() != '[' {
+		return decodeSlice(d, dst, d.float)
+	}
+	start := d.off
+	n := bytes.IndexByte(d.data[start:], ']')
+	if n < 0 {
+		return decodeSlice(d, dst, d.float)
+	}
+	end := start + n + 1
+	text := d.data[start:end]
+	h := maphash.Bytes(sampleSeed, text)
+	if s, ok := d.seen[h]; ok {
+		if !bytes.Equal(d.data[s.off:s.end], text) {
+			return decodeSlice(d, dst, d.float)
+		}
+		// *dst is empty: fill its backing array, never alias s's.
+		*dst = append(*dst, s.vals...)
+		d.off = end
+		return nil
+	}
+	if err := decodeSlice(d, dst, d.float); err != nil {
+		return err
+	}
+	// A null element keeps the destination's old value, so its array
+	// is more than a function of its text.
+	if d.off == end && len(*dst) > 0 && bytes.IndexByte(text, 'n') < 0 {
+		d.seen[h] = sampleText{vals: *dst, off: start, end: end}
+	}
+	return nil
 }
 
 // options decodes into *dst, allocating it on first use; null sets it

@@ -3,12 +3,15 @@ package client
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"hash/maphash"
 	"math"
 	"math/rand/v2"
 	"reflect"
 	"strings"
 	"testing"
 
+	"compaqt/bench"
 	"compaqt/qctrl"
 )
 
@@ -28,6 +31,26 @@ func libraryRequest(tb testing.TB, machine string) *BatchRequest {
 	return r
 }
 
+// circuitRequest is the batch request of a catalog circuit scheduled on
+// Guadalupe, as circuit-mix sends it: every gate's pulse in schedule
+// order, each repeat with arrays of its own.
+func circuitRequest(tb testing.TB, family string, qubits int) *BatchRequest {
+	tb.Helper()
+	c, err := bench.Generate(family, qubits, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ps, err := bench.PulsesFor(qctrl.Guadalupe(), c)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r := &BatchRequest{Pulses: make([]PulseSpec, len(ps))}
+	for i, p := range ps {
+		r.Pulses[i] = FromPulse(p)
+	}
+	return r
+}
+
 // TestPulseRequestJSONMatchesEncodingJSON holds the codec to
 // encoding/json on every catalog machine's library request: the same
 // bytes out, the same values back, and a buffer sized by sizeBound
@@ -40,41 +63,100 @@ func TestPulseRequestJSONMatchesEncodingJSON(t *testing.T) {
 	}
 	var scratch BatchRequest
 	for _, name := range machines {
-		req := libraryRequest(t, name)
-		want, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bound := req.sizeBound()
-		got, err := appendBatchRequest(make([]byte, 0, bound), req)
-		if err != nil {
-			t.Fatalf("%s: encode: %v", name, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: encoding differs from json.Marshal (%d vs %d bytes)", name, len(got), len(want))
-		}
-		if cap(got) != bound {
-			t.Errorf("%s: buffer regrew from %d to %d bytes", name, bound, cap(got))
-		}
+		checkBatchCodec(t, name, libraryRequest(t, name), &scratch)
+	}
+}
 
-		var ref BatchRequest
-		if err := json.Unmarshal(want, &ref); err != nil {
-			t.Fatal(err)
+// TestCircuitRequestJSONMatchesEncodingJSON does the same for
+// scheduled circuits, whose bodies repeat whole sample arrays: every
+// catalog family at 4 and 5 qubits, decoded into one scratch in turn.
+func TestCircuitRequestJSONMatchesEncodingJSON(t *testing.T) {
+	var scratch BatchRequest
+	for _, f := range bench.Catalog() {
+		for _, n := range []int{4, 5} {
+			if !f.Supports(n) {
+				continue
+			}
+			req := circuitRequest(t, f.Name, n)
+			arrays, distinct := 0, map[string]bool{}
+			for _, p := range req.Pulses {
+				for _, fs := range [][]float64{p.I, p.Q} {
+					b, _ := json.Marshal(fs)
+					arrays++
+					distinct[string(b)] = true
+				}
+			}
+			if len(distinct) == arrays {
+				t.Fatalf("%s-%d: no sample array repeats", f.Name, n)
+			}
+			checkBatchCodec(t, fmt.Sprintf("%s-%d", f.Name, n), req, &scratch)
 		}
-		var fresh BatchRequest
-		if err := DecodeBatchRequest(want, &fresh); err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
-		}
-		if !reflect.DeepEqual(fresh, ref) {
-			t.Fatalf("%s: decoded request differs from json.Unmarshal's", name)
-		}
-		// The scratch still holds the previous machine's library.
-		if err := DecodeBatchRequest(want, &scratch); err != nil {
-			t.Fatalf("%s: decode into reused scratch: %v", name, err)
-		}
-		if !reflect.DeepEqual(scratch, ref) {
-			t.Fatalf("%s: reused scratch decodes differently from a zero value", name)
-		}
+	}
+}
+
+// checkBatchCodec requires req to encode to json.Marshal's bytes into a
+// buffer of sizeBound that never regrows, and those bytes to decode as
+// json.Unmarshal does, into a zero value and into scratch, which still
+// holds the previous request.
+func checkBatchCodec(t *testing.T, name string, req *BatchRequest, scratch *BatchRequest) {
+	t.Helper()
+	want, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := req.sizeBound()
+	got, err := appendBatchRequest(make([]byte, 0, bound), req)
+	if err != nil {
+		t.Fatalf("%s: encode: %v", name, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: encoding differs from json.Marshal (%d vs %d bytes)", name, len(got), len(want))
+	}
+	if cap(got) != bound {
+		t.Errorf("%s: buffer regrew from %d to %d bytes", name, bound, cap(got))
+	}
+
+	var ref BatchRequest
+	if err := json.Unmarshal(want, &ref); err != nil {
+		t.Fatal(err)
+	}
+	var fresh BatchRequest
+	if err := DecodeBatchRequest(want, &fresh); err != nil {
+		t.Fatalf("%s: decode: %v", name, err)
+	}
+	if !reflect.DeepEqual(fresh, ref) {
+		t.Fatalf("%s: decoded request differs from json.Unmarshal's", name)
+	}
+	if err := DecodeBatchRequest(want, scratch); err != nil {
+		t.Fatalf("%s: decode into reused scratch: %v", name, err)
+	}
+	if !reflect.DeepEqual(*scratch, ref) {
+		t.Fatalf("%s: reused scratch decodes differently from a zero value", name)
+	}
+}
+
+// TestSampleRepeatsComparedInFull: a repeat is decided by the arrays'
+// bits on the way out and their text on the way in, never by a hash
+// alone or by ==. Each side is handed a table whose entry under an
+// array's own hash holds [-0,1], and must still write or parse [0,1].
+func TestSampleRepeatsComparedInFull(t *testing.T) {
+	fs, negZero := []float64{0, 1}, []float64{math.Copysign(0, -1), 1}
+	h := hashBits(fs)
+	seen := make([]sampleText, 4)
+	b := []byte(`[-0,1]`)
+	seen[h&3] = sampleText{hash: h, vals: negZero, off: 0, end: len(b)}
+	b, err := appendSamples(b, fs, seen)
+	if err != nil || string(b) != `[-0,1][0,1]` {
+		t.Fatalf("colliding encode wrote %q, %v", b, err)
+	}
+
+	data := []byte(`[-0,1][0,1]`)
+	d := decoder{data: data, off: 6, seen: map[uint64]sampleText{
+		maphash.Bytes(sampleSeed, data[6:]): {vals: negZero, off: 0, end: 6},
+	}}
+	var got []float64
+	if err := d.samples(&got); err != nil || !sameBits(got, fs) || d.off != len(data) {
+		t.Fatalf("colliding decode read %v to offset %d, %v", got, d.off, err)
 	}
 }
 
@@ -203,6 +285,19 @@ func pulseRequestSeeds(tb testing.TB) []string {
 		`{"image":"<&>","pulse":{"gate":"Xé\ud800\n\"\\\/"}}`,
 		"{\"pulse\":{\"gate\":\"\xff\xfe\"}}", "{\"pulse\":{\"gate\":\"a\tb\"}}",
 		`{"pulse":{"gate":"\x"}}`, `{"pulse":{"gate":"\u12"}}`, `{"pulse":{"gate":"abc`,
+		// Repeated sample arrays: within a pulse and across pulses; the
+		// same numbers spaced differently; repeats holding null; empty
+		// arrays; a repeat cut off or followed by garbage.
+		`{"pulses":[{"i":[0.5,-0.25,1e-7],"q":[0.5,-0.25,1e-7]},{"i":[0.5,-0.25,1e-7],"q":[1,2]},{"q":[0.5,-0.25,1e-7],"i":[1,2]}]}`,
+		`{"pulses":[{"i":[1,2],"q":[1, 2]},{"i":[ 1,2],"q":[1,2 ]},{"i":[1,2.0],"q":[1,2]}]}`,
+		`{"pulses":[{"i":[0,1],"q":[-0,1]},{"i":[-0,1],"q":[0,1]}]}`,
+		`{"pulses":[{"i":[1,null,3],"q":[1,null,3]},{"i":[1,null,3],"q":[null]},{"i":[null]}]}`,
+		`{"pulses":[{"i":[],"q":[]},{"i":[],"q":[1]},{"i":[1],"q":[]}]}`,
+		`{"pulses":[{"i":[1,2]},{"i":[1,2`, `{"pulses":[{"i":[1,2]},{"i":[1,2]x}]}`,
+		`{"pulses":[{"i":[1,2]},{"i":[1,2]]}]}`, `{"pulses":[{"i":[1,2]},{"i":[1,[2]]}]}`,
+		// Repeated keys decode in place over a recorded array.
+		`{"pulses":[{"i":[1,2]},{"i":[1,2]}],"pulses":[{"i":[3,4]},{"i":[1,2]}]}`,
+		`{"pulses":[{"i":[1,2],"q":[1,2],"i":[3],"q":[1,2]}]}`,
 		// Top level: null, other types, trailing bytes, whitespace.
 		`null`, ` null `, `[]`, `""`, `1`, ``, ` `, `{}`, "\t{}\r\n",
 		`{} x`, `{}{}`, `{"pulse":{}} ,`, `{"pulse":{"i":[1,2]`, `{"pulse"`, `{"pulse":}`,
@@ -303,48 +398,62 @@ func checkPulseRequestJSON[T any](t *testing.T, first, second []byte,
 	}
 }
 
-// BenchmarkPulseRequestJSON times the codec on a Guadalupe library
-// request (80 pulses, 141,312 samples) against encoding/json: encode as
+// BenchmarkPulseRequestJSON times the codec against encoding/json on
+// two batch requests: a Guadalupe library request (80 pulses, 141,312
+// samples, no array repeated), and as the codec-circuit rows a 4-qubit
+// QFT scheduled on Guadalupe (39 pulses, 43,808 samples, in
+// circuit-mix's band), whose arrays repeat. Encode as
 // Client.CompileBatch does, decode into a reused request as the server
 // does. ns/float divides the time by the floats the body carries, its
 // samples and sample rates.
 func BenchmarkPulseRequestJSON(b *testing.B) {
-	req := libraryRequest(b, "ibmq_guadalupe")
-	body, err := json.Marshal(req)
-	if err != nil {
-		b.Fatal(err)
-	}
-	floats := 0
-	for _, p := range req.Pulses {
-		floats += 1 + len(p.I) + len(p.Q)
-	}
-	run := func(name string, fn func() error) {
-		b.Run(name, func(b *testing.B) {
-			b.SetBytes(int64(len(body)))
-			b.ReportAllocs()
-			for b.Loop() {
-				if err := fn(); err != nil {
-					b.Fatal(err)
+	for _, c := range []struct {
+		suffix string
+		req    *BatchRequest
+	}{
+		{"", libraryRequest(b, "ibmq_guadalupe")},
+		{"-circuit", circuitRequest(b, "qft", 4)},
+	} {
+		req := c.req
+		body, err := json.Marshal(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		floats := 0
+		for _, p := range req.Pulses {
+			floats += 1 + len(p.I) + len(p.Q)
+		}
+		run := func(name string, fn func() error) {
+			b.Run(name, func(b *testing.B) {
+				b.SetBytes(int64(len(body)))
+				b.ReportAllocs()
+				for b.Loop() {
+					if err := fn(); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*floats), "ns/float")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*floats), "ns/float")
+			})
+		}
+		run("encode/codec"+c.suffix, func() error {
+			_, err := appendBatchRequest(make([]byte, 0, req.sizeBound()), req)
+			return err
+		})
+		var scratch BatchRequest // warmed, as a pooled server scratch is
+		if err := DecodeBatchRequest(body, &scratch); err != nil {
+			b.Fatal(err)
+		}
+		run("decode/codec"+c.suffix, func() error { return DecodeBatchRequest(body, &scratch) })
+		if c.suffix != "" {
+			continue
+		}
+		run("encode/encoding-json", func() error {
+			_, err := json.Marshal(req)
+			return err
+		})
+		run("decode/encoding-json", func() error {
+			var r BatchRequest
+			return json.Unmarshal(body, &r)
 		})
 	}
-	run("encode/codec", func() error {
-		_, err := appendBatchRequest(make([]byte, 0, req.sizeBound()), req)
-		return err
-	})
-	run("encode/encoding-json", func() error {
-		_, err := json.Marshal(req)
-		return err
-	})
-	var scratch BatchRequest // warmed, as a pooled server scratch is
-	if err := DecodeBatchRequest(body, &scratch); err != nil {
-		b.Fatal(err)
-	}
-	run("decode/codec", func() error { return DecodeBatchRequest(body, &scratch) })
-	run("decode/encoding-json", func() error {
-		var r BatchRequest
-		return json.Unmarshal(body, &r)
-	})
 }

@@ -19,6 +19,7 @@ import (
 	"compaqt/client"
 	"compaqt/codec"
 	"compaqt/internal/cluster"
+	"compaqt/internal/store"
 	"compaqt/qctrl"
 	"compaqt/waveform"
 )
@@ -37,6 +38,16 @@ func (e *httpError) Error() string { return e.msg }
 
 func badRequest(format string, args ...any) *httpError {
 	return &httpError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
+}
+
+// checkImageName refuses an image name the store cannot bind. Every
+// node refuses it, with a store or without, so the nodes of a cluster
+// accept the same names.
+func checkImageName(name string) error {
+	if len(name) > store.MaxNameLen {
+		return badRequest("image name of %d bytes exceeds the %d-byte limit", len(name), store.MaxNameLen)
+	}
+	return nil
 }
 
 // jsonScratch pairs a reusable encode buffer with a json.Encoder bound
@@ -377,6 +388,10 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
+	if err := checkImageName(req.Image); err != nil {
+		s.fail(w, err)
+		return
+	}
 	p := &sc.pulse
 	if err := req.Pulse.PulseInto(p, &sc.wf); err != nil {
 		s.fail(w, badRequest("%v", err))
@@ -443,6 +458,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer batchScratchPool.Put(sc)
 	req := &sc.req
 	if err := s.decodeBody(w, r, func(b []byte) error { return client.DecodeBatchRequest(b, req) }); err != nil {
+		s.fail(w, err)
+		return
+	}
+	if err := checkImageName(req.Image); err != nil {
 		s.fail(w, err)
 		return
 	}
@@ -686,10 +705,17 @@ func (s *Server) failForward(w http.ResponseWriter, name string, err error) {
 func (s *Server) handleImagePut(w http.ResponseWriter, r *http.Request) {
 	s.m.requests.Add(1)
 	name := r.PathValue("name")
-	if r.ContentLength > s.cfg.MaxBodyBytes {
+	if err := checkImageName(name); err != nil {
+		s.fail(w, err)
+		return
+	}
+	// An image is also capped at what the store can hold, on every node
+	// for the reason names are.
+	limit := min(s.cfg.MaxBodyBytes, store.MaxObjectBytes)
+	if r.ContentLength > limit {
 		s.fail(w, &httpError{
 			status: http.StatusRequestEntityTooLarge,
-			msg:    fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes),
+			msg:    fmt.Sprintf("request body exceeds %d bytes", limit),
 		})
 		return
 	}
@@ -702,7 +728,7 @@ func (s *Server) handleImagePut(w http.ResponseWriter, r *http.Request) {
 		wire = make([]byte, r.ContentLength)
 		_, err = io.ReadFull(r.Body, wire)
 	} else {
-		wire, err = io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+		wire, err = io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	}
 	if err != nil {
 		var tooLarge *http.MaxBytesError

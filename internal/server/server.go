@@ -588,6 +588,11 @@ func (s *Server) storeImage(name string, si *storedImage) {
 		return
 	}
 	if wire, err := si.bytes(); err == nil {
+		// The handlers refuse names and PUT bodies the store cannot
+		// take, so Put can fail only in three ways, none of them this
+		// request's to report: a failed publish, which Put records for
+		// Healthy; a store closed by the drain; or a compiled image over
+		// MaxObjectBytes, which needs -max-body set above that cap.
 		_ = s.store.Put(name, si.digest(), wire)
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"compaqt/client"
 	"compaqt/internal/race"
+	"compaqt/qctrl"
 )
 
 // TestDerivedServiceLRUEviction pins the override-memoization policy:
@@ -215,37 +216,51 @@ func TestServerCompileSteadyStateAllocs(t *testing.T) {
 // warm 8-pulse batch served from the compile cache decodes into pooled
 // scratch (pulse list, I/Q arrays, in-process pulses), so what is left
 // per request is CompileBatch's own bookkeeping and the per-pulse key
-// strings. The budget is ~2x the measured steady state.
+// strings. The budget is ~2x the measured steady state. The repeating
+// case plays four pulses twice, each repeat with arrays of its own, as
+// a scheduled circuit does; its repeats are copied from the arrays
+// already decoded, through a pooled table, at the same budget.
 func TestServerBatchSteadyStateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("-race randomizes sync.Pool reuse; allocation counts only hold in normal builds")
 	}
-	srv, err := New(Config{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pulses := testPulses(8, 96)
-	specs := make([]client.PulseSpec, len(pulses))
-	for i, p := range pulses {
-		specs[i] = client.FromPulse(p)
-	}
-	body, err := json.Marshal(client.BatchRequest{Pulses: specs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	br := newBenchRequester(srv.Handler(), http.MethodPost, "/v1/compile/batch", body)
-	for i := 0; i < 3; i++ { // warm cache and pools
-		if w := br.do(); w.status != http.StatusOK {
-			t.Fatalf("warmup status %d", w.status)
-		}
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if w := br.do(); w.status != http.StatusOK {
-			t.Fatalf("status %d", w.status)
-		}
-	})
-	const budget = 100 // measured 51 at introduction
-	if allocs > budget {
-		t.Errorf("steady-state batch request allocates %.1f/op, budget %d", allocs, budget)
+	distinct := testPulses(8, 96)
+	repeating := append(testPulses(4, 96), testPulses(4, 96)...)
+	for _, c := range []struct {
+		name   string
+		pulses []*qctrl.Pulse
+	}{{"distinct", distinct}, {"repeating", repeating}} {
+		t.Run(c.name, func(t *testing.T) {
+			srv, err := New(Config{Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			specs := make([]client.PulseSpec, len(c.pulses))
+			for i, p := range c.pulses {
+				specs[i] = client.FromPulse(p)
+			}
+			body, err := json.Marshal(client.BatchRequest{Pulses: specs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			br := newBenchRequester(srv.Handler(), http.MethodPost, "/v1/compile/batch", body)
+			for i := 0; i < 3; i++ { // warm cache and pools
+				if w := br.do(); w.status != http.StatusOK {
+					t.Fatalf("warmup status %d", w.status)
+				}
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				if w := br.do(); w.status != http.StatusOK {
+					t.Fatalf("status %d", w.status)
+				}
+			})
+			// Measured 51 at introduction, and 51 in both cases when
+			// repeats began to be copied, as on their parent.
+			const budget = 100
+			t.Logf("%.1f allocs/op", allocs)
+			if allocs > budget {
+				t.Errorf("steady-state batch request allocates %.1f/op, budget %d", allocs, budget)
+			}
+		})
 	}
 }

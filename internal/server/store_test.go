@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +13,7 @@ import (
 
 	"compaqt/client"
 	"compaqt/internal/race"
+	"compaqt/internal/store"
 )
 
 // TestStoreWarmRestart is the persistence contract end to end: images
@@ -269,4 +271,75 @@ func mustServer(t *testing.T, cfg Config) *Server {
 	}
 	t.Cleanup(func() { srv.Close() })
 	return srv
+}
+
+// TestImageNameLimit: a name longer than the store can bind is refused
+// with 400 on every route that binds a name, since an image the store
+// refused would be served until a restart and then be gone; the
+// longest name it can bind survives a restart.
+func TestImageNameLimit(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	pulses := testPulses(2, 96)
+	specs := []client.PulseSpec{client.FromPulse(pulses[0]), client.FromPulse(pulses[1])}
+
+	srv1, _, cl1 := newTestServer(t, Config{StoreDir: dir})
+	if _, err := cl1.CompileBatch(ctx, client.BatchRequest{Image: "src", Pulses: specs}); err != nil {
+		t.Fatal(err)
+	}
+	wire, err := cl1.ImageRaw(ctx, "src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("n", store.MaxNameLen+1)
+	for route, call := range map[string]func() error{
+		"POST /v1/compile": func() error {
+			_, err := cl1.Compile(ctx, client.CompileRequest{Image: long, Pulse: specs[0]})
+			return err
+		},
+		"POST /v1/compile/batch": func() error {
+			_, err := cl1.CompileBatch(ctx, client.BatchRequest{Image: long, Pulses: specs})
+			return err
+		},
+		"PUT /v1/images/{name}": func() error { return cl1.PutImageRaw(ctx, long, wire) },
+	} {
+		var apiErr *client.APIError
+		if err := call(); !asAPIError(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s with a %d-byte name: %v, want 400", route, len(long), err)
+		}
+	}
+
+	longest := strings.Repeat("m", store.MaxNameLen)
+	if _, err := cl1.CompileBatch(ctx, client.BatchRequest{Image: longest, Pulses: specs}); err != nil {
+		t.Fatalf("compile under a %d-byte name: %v", len(longest), err)
+	}
+	want, err := cl1.ImageRaw(ctx, longest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, _, cl2 := newTestServer(t, Config{StoreDir: dir})
+	got, err := cl2.ImageRaw(ctx, longest)
+	if err != nil {
+		t.Fatalf("GET of the %d-byte name after a restart: %v", len(longest), err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the image bound to the longest name changed across the restart")
+	}
+}
+
+// TestImagePutObjectLimit: with -max-body above the store's object cap,
+// a PUT larger than the cap is refused with 413 before its body is
+// read, as one over -max-body is.
+func TestImagePutObjectLimit(t *testing.T) {
+	srv := mustServer(t, Config{MaxBodyBytes: 2 * store.MaxObjectBytes})
+	r := httptest.NewRequest(http.MethodPut, "/v1/images/big", strings.NewReader("x"))
+	r.ContentLength = store.MaxObjectBytes + 1
+	w := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(w, r)
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("PUT of %d bytes: status %d, want 413", r.ContentLength, w.Code)
+	}
 }

@@ -25,7 +25,7 @@ import (
 //
 //	crc  uint32  // IEEE CRC32 of everything after this field
 //	op   uint8   // 1 = bind, 2 = unbind
-//	nlen uint16  // name length, capped at maxNameLen
+//	nlen uint16  // name length, capped at MaxNameLen
 //	name [nlen]byte
 //	-- bind records only --
 //	key  [32]byte // content digest (DigestImage), the object address
@@ -68,7 +68,7 @@ func scanManifest(path string) map[string]bindRec {
 	}
 	le := binary.LittleEndian
 	binds := map[string]bindRec{}
-	body := make([]byte, 0, 3+maxNameLen+bindTail)
+	body := make([]byte, 0, 3+MaxNameLen+bindTail)
 	for {
 		var pre [7]byte // crc, op, nlen
 		if _, err := io.ReadFull(br, pre[:]); err != nil {
@@ -77,7 +77,7 @@ func scanManifest(path string) map[string]bindRec {
 		crc := le.Uint32(pre[0:4])
 		op := pre[4]
 		nlen := int(le.Uint16(pre[5:7]))
-		if nlen > maxNameLen {
+		if nlen > MaxNameLen {
 			return binds
 		}
 		n := 3 + nlen
@@ -106,7 +106,7 @@ func scanManifest(path string) map[string]bindRec {
 		copy(r.key[:], rest[0:32])
 		copy(r.sum[:], rest[32:64])
 		r.size = int64(le.Uint64(rest[64:72]))
-		if r.size < 0 || r.size > maxObjectBytes {
+		if r.size < 0 || r.size > MaxObjectBytes {
 			return binds
 		}
 		binds[name] = r

@@ -44,12 +44,12 @@ const (
 	// DefaultMaxBytes bounds a store opened with maxBytes == 0: 1 GiB
 	// of serialized images, a few thousand realistic pulse libraries.
 	DefaultMaxBytes = 1 << 30
-	// maxNameLen caps one image name on disk and in the manifest.
-	maxNameLen = 4096
-	// maxObjectBytes caps one serialized image; together with the
+	// MaxNameLen caps one image name on disk and in the manifest.
+	MaxNameLen = 4096
+	// MaxObjectBytes caps one serialized image; together with the
 	// size-vs-file cross-check it bounds what a hostile manifest can
 	// make Open map.
-	maxObjectBytes = 1 << 30
+	MaxObjectBytes = 1 << 30
 	objectExt      = ".cpqt"
 )
 
@@ -283,7 +283,7 @@ func (s *Store) recover() {
 	sort.Strings(names)
 	for _, name := range names {
 		r := binds[name]
-		if name == "" || len(name) > maxNameLen || r.size <= 0 || r.size > maxObjectBytes {
+		if name == "" || len(name) > MaxNameLen || r.size <= 0 || r.size > MaxObjectBytes {
 			continue
 		}
 		if o := s.byKey[r.key]; o != nil {
@@ -446,9 +446,9 @@ func (s *Store) Contains(name string, key cache.Key) bool {
 // the insert with LRU eviction.
 func (s *Store) Put(name string, key cache.Key, wire []byte) error {
 	switch {
-	case name == "" || len(name) > maxNameLen:
+	case name == "" || len(name) > MaxNameLen:
 		return fmt.Errorf("store: invalid image name (%d bytes)", len(name))
-	case len(wire) == 0 || int64(len(wire)) > maxObjectBytes:
+	case len(wire) == 0 || int64(len(wire)) > MaxObjectBytes:
 		return fmt.Errorf("store: image of %d bytes is not storable", len(wire))
 	}
 	if s.Contains(name, key) {
