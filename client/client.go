@@ -229,11 +229,9 @@ func (c *Client) ImageRaw(ctx context.Context, name string) ([]byte, error) {
 // them: the returned reader is the response body, and the int64 is the
 // declared Content-Length (-1 when chunked). Retries cover the
 // connection and header phase only — once bytes flow, a failure
-// surfaces to the caller, who owns closing the reader. This is the
-// relay primitive: a pure-proxy cluster node pipes a peer's body
-// straight into its own response, overlapping the two hops instead of
-// buffering an image of any size in between. Hedging does not apply;
-// it exists to race buffered reads, not to tee two live streams.
+// surfaces to the caller, who owns closing the reader. Hedging does
+// not apply; it exists to race buffered reads, not to tee two live
+// streams.
 func (c *Client) ImageReader(ctx context.Context, name string) (io.ReadCloser, int64, error) {
 	attempts := c.retry.MaxAttempts
 	if attempts < 1 {
@@ -263,8 +261,7 @@ func (c *Client) Image(ctx context.Context, name string) (*compaqt.Image, error)
 	if err != nil {
 		return nil, err
 	}
-	// The body is fully in hand; the byte decoder skips the streaming
-	// reader's chunked re-buffering.
+	// The body is fully in hand: decode it in place.
 	return compaqt.DecodeImageBytes(b)
 }
 

@@ -11,14 +11,6 @@
 //	compaqt-bench -machine ibmq_guadalupe -families ghz,qft -qubits 4,8,16
 //	compaqt-bench -codecs intdct-w -ws 8,16,32 -json BENCH_sweep.json
 //	compaqt-bench -list          # show the catalog and exit
-//
-// Workload replay: -record captures a deterministic workload stream
-// (one JSON object per line, fully reproducible from its headers) and
-// -replay regenerates and compiles a captured file — the same bytes,
-// every run, on any machine with the same calibration tables:
-//
-//	compaqt-bench -record trace.jsonl -n 256 -skew 0.4 -seed 17
-//	compaqt-bench -replay trace.jsonl -codecs intdct-w -ws 16
 package main
 
 import (
@@ -64,27 +56,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "circuit generation seed")
 	jsonOut := flag.String("json", "", "write a BENCH_*-compatible JSON record to this path")
 	list := flag.Bool("list", false, "list the family catalog and exit")
-	record := flag.String("record", "", "capture a workload stream to this JSONL file and exit")
-	replay := flag.String("replay", "", "compile a captured workload stream from this JSONL file and exit")
-	n := flag.Int("n", 128, "request count for -record")
-	skew := flag.Float64("skew", 0.3, "repeat skew in [0,1) for -record")
 	flag.Parse()
-
-	if *record != "" && *replay != "" {
-		fatal(fmt.Errorf("-record and -replay are mutually exclusive"))
-	}
-	if *record != "" {
-		if err := recordWorkload(*record, *machine, splitList(*families), *n, *skew, *seed); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *replay != "" {
-		if err := replayWorkload(*replay, splitList(*codecs), splitList(*windows)); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	if *list {
 		for _, f := range bench.Catalog() {
@@ -280,101 +252,6 @@ func writeJSON(path, machine string, seed int64, rows []row) error {
 		return err
 	}
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-// recordWorkload captures a deterministic workload stream: n requests
-// drawn with the given skew and seed, written as JSON lines. The file
-// is a pure function of the flags — re-recording reproduces it
-// byte-identically.
-func recordWorkload(path, machine string, families []string, n int, skew float64, seed int64) error {
-	m, err := qctrl.ByName(machine)
-	if err != nil {
-		return err
-	}
-	wl, err := bench.NewWorkload(bench.WorkloadOptions{
-		Machine:    m,
-		Families:   families,
-		RepeatSkew: skew,
-		Seed:       seed,
-	})
-	if err != nil {
-		return err
-	}
-	reqs, err := wl.Requests(n)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := bench.WriteRecord(f, reqs); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "recorded %d requests to %s\n", len(reqs), path)
-	return nil
-}
-
-// replayWorkload regenerates a captured stream and compiles it in
-// order through one Service, reporting the aggregate the run produced.
-// Determinism end to end: the same file always compiles the same
-// byte streams, so two replays are directly comparable.
-func replayWorkload(path string, codecs, windows []string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	entries, err := bench.ReadRecord(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	if len(entries) == 0 {
-		return fmt.Errorf("replay file %s holds no requests", path)
-	}
-	reqs, err := bench.NewReplayer().MaterializeAll(entries)
-	if err != nil {
-		return err
-	}
-
-	codecName := "intdct-w"
-	if len(codecs) > 0 {
-		codecName = codecs[0]
-	}
-	opts := []compaqt.Option{compaqt.WithCodec(codecName), compaqt.WithCache(4096)}
-	if windowed[codecName] && len(windows) > 0 {
-		ws, err := strconv.Atoi(windows[0])
-		if err != nil || ws < 1 {
-			return fmt.Errorf("bad window size %q", windows[0])
-		}
-		opts = append(opts, compaqt.WithWindow(ws))
-	}
-	svc, err := compaqt.New(opts...)
-	if err != nil {
-		return err
-	}
-
-	var pulses, repeats int
-	start := time.Now()
-	for i, r := range reqs {
-		if _, err := svc.CompileBatch(context.Background(), r.Library+"/"+r.Name(), r.Pulses); err != nil {
-			return fmt.Errorf("replay request %d (%s): %w", i+1, r.Name(), err)
-		}
-		pulses += len(r.Pulses)
-		if r.Repeat {
-			repeats++
-		}
-	}
-	elapsed := time.Since(start)
-	cs := svc.CacheStats()
-	fmt.Printf("replayed %d requests (%d repeats, %d pulses) from %s in %s\n",
-		len(reqs), repeats, pulses, path, elapsed.Round(time.Millisecond))
-	fmt.Printf("codec %s: cache hits %d, misses %d\n", codecName, cs.Hits, cs.Misses)
-	return nil
 }
 
 func splitList(s string) []string {

@@ -81,7 +81,6 @@ func main() {
 	repairInterval := flag.Duration("repair-interval", 0, "anti-entropy shard-repair interval (0 = 5s, negative = disabled)")
 	hintPath := flag.String("hints", "", "hinted-handoff log path (empty = <store-dir>/HINTS when clustered with a store, else memory-only)")
 	clusterHedge := flag.Duration("cluster-hedge", 0, "delay before a peer image GET races a hedged second attempt (0 = 25ms, negative = disabled)")
-	noPeerFill := flag.Bool("no-peer-fill", false, "serve forwarded images without write-through-filling the local store (pure proxy)")
 	flag.Parse()
 
 	if *listCodecs {
@@ -136,7 +135,6 @@ func main() {
 			Hedge:          *clusterHedge,
 			Transport:      peerTransport(),
 		},
-		ClusterNoFill:  *noPeerFill,
 		RepairInterval: *repairInterval,
 
 		ReadHeaderTimeout: *readHeaderTimeout,

@@ -86,7 +86,7 @@ func FuzzOpenImage(f *testing.F) {
 // fidelity checks) and through re-serialization: WriteTo of a parsed
 // image must round-trip to the same parse. It also holds the
 // allocation-free walk the server validates ingress with to the
-// decoders: the same accept set, the exact image length, the exact
+// decoder: the same accept set, the exact image length, the exact
 // bytes AppendTo writes back, and the same content digest from the
 // bytes as from the decoded image.
 func FuzzDecodeImage(f *testing.F) {
@@ -96,8 +96,8 @@ func FuzzDecodeImage(f *testing.F) {
 			t.Skip("image larger than the fuzz budget")
 		}
 		img, err := compaqt.ReadImage(bytes.NewReader(data))
-		// The streaming reader and the in-memory byte decoder are two
-		// implementations of one format: they must agree on what parses.
+		// ReadImage is the io.Reader entry point to the byte decoder:
+		// reading through it must not change what parses.
 		imgB, errB := compaqt.DecodeImageBytes(data)
 		if (err == nil) != (errB == nil) {
 			t.Fatalf("decoder disagreement: ReadImage err=%v, DecodeImageBytes err=%v", err, errB)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -261,10 +260,6 @@ func (c *Cluster) addMemberLocked(url string) *member {
 	return m
 }
 
-// ensureMemberLocked returns the table row for url, creating it if the
-// URL has never been seen. Callers hold c.mu.
-func (c *Cluster) ensureMemberLocked(url string) *member { return c.addMemberLocked(url) }
-
 // Close stops the probe and gossip loops. It is idempotent; in-flight
 // forwards finish on their own contexts.
 func (c *Cluster) Close() { c.stopOnce.Do(func() { close(c.stop) }) }
@@ -402,48 +397,6 @@ func (c *Cluster) FetchImage(ctx context.Context, name string) ([]byte, string, 
 		return nil, "", ErrNoPeer
 	}
 	return nil, "", lastErr
-}
-
-// OpenImage is FetchImage's streaming form: the same replica-set walk,
-// but the winning peer's response body comes back as a reader (with
-// its declared length) instead of a buffer. Retries and successor
-// fallback cover the connection and header phase; once the stream is
-// handed over, a mid-body failure belongs to the caller. Pure-proxy
-// nodes relay through this so the two network hops overlap and no
-// image, whatever its size, is buffered on the way through.
-func (c *Cluster) OpenImage(ctx context.Context, name string) (io.ReadCloser, int64, string, error) {
-	ring, alive := c.snapshot()
-	targets := ring.Successors(KeyFor(name), c.repl+1, alive)
-	var lastErr error
-	tried := false
-	for _, u := range targets {
-		if u == c.self {
-			continue
-		}
-		m := c.memberFor(u)
-		if m == nil || m.cl == nil {
-			continue
-		}
-		if !tried {
-			tried = true
-			c.cmu.Lock()
-			c.st.Forwarded++
-			c.cmu.Unlock()
-		}
-		rc, n, err := m.cl.ImageReader(ctx, name)
-		if err == nil {
-			return rc, n, u, nil
-		}
-		c.noteErr(m, err)
-		lastErr = err
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	if !tried {
-		return nil, 0, "", ErrNoPeer
-	}
-	return nil, 0, "", lastErr
 }
 
 // FetchImageFrom retrieves name's wire bytes from one specific member —

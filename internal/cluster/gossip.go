@@ -108,7 +108,7 @@ func (c *Cluster) HandleGossip(req client.GossipRequest) (client.GossipResponse,
 	c.mergeTable(req.Members)
 	if req.From != "" {
 		c.mu.Lock()
-		if m := c.ensureMemberLocked(req.From); m != nil {
+		if m := c.addMemberLocked(req.From); m != nil {
 			c.markAliveLocked(m, m.incarnation)
 		}
 		c.mu.Unlock()

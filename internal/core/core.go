@@ -7,8 +7,6 @@
 package core
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -196,128 +194,25 @@ const (
 	magic   = "CPQT"
 	version = 1
 
-	// maxImageEntries and maxImageSamples bound what ReadImage will
-	// accept from untrusted bytes. Real libraries are a few hundred
-	// entries of at most tens of thousands of samples; the caps leave
-	// orders of magnitude of headroom while keeping a hostile header
-	// from provoking a multi-gigabyte allocation.
+	// maxImageEntries, maxImageSamples and maxStreamWords bound what
+	// ValidateImageBytes accepts from untrusted bytes. Real libraries
+	// are a few hundred entries of at most tens of thousands of
+	// samples; the caps leave orders of magnitude of headroom.
 	maxImageEntries = 1 << 20
 	maxImageSamples = 1 << 22
 	maxStreamWords  = 1 << 24
-	// streamChunk is the initial stream allocation: memory is committed
-	// as words are actually read, never from the declared count alone.
-	streamChunk = 4096
 )
 
-// ReadImage deserializes an image written by WriteTo.
+// ReadImage deserializes an image written by WriteTo. It reads r to the
+// end and decodes what it read with DecodeImageBytes, so memory grows
+// with the bytes that arrive, never with a length a header declares.
+// Bytes after the image are read and ignored.
 func ReadImage(r io.Reader) (*Image, error) {
-	br := bufio.NewReader(r)
-	read := func(v any) error { return binary.Read(br, binary.LittleEndian, v) }
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
+	b, err := io.ReadAll(r)
+	if err != nil {
 		return nil, err
 	}
-	if string(m[:]) != magic {
-		return nil, fmt.Errorf("core: bad magic %q", m)
-	}
-	var ver, ws uint16
-	if err := read(&ver); err != nil {
-		return nil, err
-	}
-	if ver != version {
-		return nil, fmt.Errorf("core: unsupported image version %d", ver)
-	}
-	if err := read(&ws); err != nil {
-		return nil, err
-	}
-	switch ws {
-	case 4, 8, 16, 32:
-		// The wire format stores int-DCT-W images only, so every valid
-		// image carries one of the engine's window sizes. Anything else
-		// is hostile or corrupt — and must be rejected before the
-		// window-walking metadata rebuild (ws=0 would never advance it,
-		// ws>32 would overflow the decoder's fixed window buffers).
-	default:
-		return nil, fmt.Errorf("core: invalid window size %d", ws)
-	}
-	img := &Image{WindowSize: int(ws)}
-	var err error
-	if img.Machine, err = readString(br); err != nil {
-		return nil, err
-	}
-	var count uint32
-	if err := read(&count); err != nil {
-		return nil, err
-	}
-	if count > maxImageEntries {
-		return nil, fmt.Errorf("core: implausible entry count %d", count)
-	}
-	for i := uint32(0); i < count; i++ {
-		var e Entry
-		if e.Key, err = readString(br); err != nil {
-			return nil, err
-		}
-		if e.Gate, err = readString(br); err != nil {
-			return nil, err
-		}
-		var q, tgt int32
-		if err := read(&q); err != nil {
-			return nil, err
-		}
-		if err := read(&tgt); err != nil {
-			return nil, err
-		}
-		e.Qubit, e.Target = int(q), int(tgt)
-		c := &compress.Compressed{
-			Name:       e.Key,
-			Variant:    compress.IntDCTW,
-			WindowSize: int(ws),
-		}
-		if err := read(&c.SampleRate); err != nil {
-			return nil, err
-		}
-		var samples uint32
-		if err := read(&samples); err != nil {
-			return nil, err
-		}
-		if samples > maxImageSamples {
-			return nil, fmt.Errorf("core: implausible sample count %d", samples)
-		}
-		c.Samples = int(samples)
-		for _, ch := range []*compress.Channel{&c.I, &c.Q} {
-			var wc uint32
-			if err := read(&wc); err != nil {
-				return nil, err
-			}
-			if wc > maxStreamWords {
-				return nil, fmt.Errorf("core: implausible stream length %d", wc)
-			}
-			// A window word reconstructs at most ws samples and a repeat
-			// codeword at most rle.MaxRun, so a channel that claims more
-			// samples than its words could ever cover is malformed. The
-			// check also keeps the declared sample count proportional to
-			// the bytes actually present. (64-bit arithmetic inside:
-			// wc*maxPerWord can reach 2^36, which would wrap a 32-bit int
-			// and mis-reject valid images.)
-			if err := plausibleSamples(samples, wc, int(ws)); err != nil {
-				return nil, err
-			}
-			// Commit memory as words arrive, not from the declared count:
-			// a truncated or hostile header then costs at most one chunk.
-			ch.Stream = make([]rle.Word, 0, min(int(wc), streamChunk))
-			for j := uint32(0); j < wc; j++ {
-				var word uint32
-				if err := read(&word); err != nil {
-					return nil, err
-				}
-				ch.Stream = append(ch.Stream, rle.Word(word))
-			}
-			rebuildChannelMeta(ch, int(ws))
-		}
-		e.Compressed = c
-		img.Entries = append(img.Entries, e)
-	}
-	return img, nil
+	return DecodeImageBytes(b)
 }
 
 // rebuildChannelMeta reconstructs the per-window word counts and repeat
@@ -352,16 +247,4 @@ func rebuildChannelMeta(ch *compress.Channel, ws int) {
 		}
 		ch.WindowWords = append(ch.WindowWords, i-start)
 	}
-}
-
-func readString(r io.Reader) (string, error) {
-	var n uint16
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return "", err
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
 }

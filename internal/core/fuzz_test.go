@@ -7,7 +7,9 @@ package core
 import (
 	"bytes"
 	"io"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/iotest"
 
@@ -46,6 +48,49 @@ func seedImage(tb testing.TB, ws int) []byte {
 	return buf.Bytes()
 }
 
+// nanRateImage is seedImage with a NaN sample rate on its first entry:
+// valid bytes whose decode is not reflect.DeepEqual to itself.
+func nanRateImage(tb testing.TB) []byte {
+	tb.Helper()
+	img, err := DecodeImageBytes(seedImage(tb, 16))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	img.Entries[0].Compressed.SampleRate = math.NaN()
+	wire, err := img.AppendTo(nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return wire
+}
+
+// sameImage is reflect.DeepEqual for decoded images, except that sample
+// rates compare by their bits: a NaN rate decodes from valid bytes, and
+// DeepEqual never finds NaN equal to itself.
+func sameImage(a, b *Image) bool {
+	return reflect.DeepEqual(withRateBits(a), withRateBits(b))
+}
+
+// rateBitsImage is an image with its sample rates moved out of the
+// float fields into their bits.
+type rateBitsImage struct {
+	img   Image
+	rates []uint64
+}
+
+func withRateBits(img *Image) rateBitsImage {
+	out := rateBitsImage{img: *img, rates: make([]uint64, len(img.Entries))}
+	out.img.Entries = make([]Entry, len(img.Entries))
+	for i, e := range img.Entries {
+		c := *e.Compressed
+		out.rates[i] = math.Float64bits(c.SampleRate)
+		c.SampleRate = 0
+		e.Compressed = &c
+		out.img.Entries[i] = e
+	}
+	return out
+}
+
 func FuzzReadImage(f *testing.F) {
 	for _, ws := range []int{4, 16} {
 		raw := seedImage(f, ws)
@@ -55,6 +100,7 @@ func FuzzReadImage(f *testing.F) {
 	}
 	f.Add([]byte("CPQT"))
 	f.Add([]byte{})
+	f.Add(nanRateImage(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
 			t.Skip("input larger than the fuzz budget")
@@ -75,7 +121,7 @@ func FuzzReadImage(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-serialized image does not parse: %v", err)
 		}
-		if !reflect.DeepEqual(img, img2) {
+		if !sameImage(img, img2) {
 			t.Fatal("WriteTo/ReadImage round trip changed the image")
 		}
 	})
@@ -111,6 +157,8 @@ func FuzzReadImageShortRead(f *testing.F) {
 		f.Add(raw, uint32(7), uint8(0))
 	}
 	f.Add([]byte("CPQT"), uint32(4), uint8(2))
+	nan := nanRateImage(f)
+	f.Add(nan, uint32(len(nan)), uint8(1))
 	f.Fuzz(func(t *testing.T, data []byte, cut uint32, chunk uint8) {
 		if len(data) > 1<<20 {
 			t.Skip("input larger than the fuzz budget")
@@ -123,7 +171,7 @@ func FuzzReadImageShortRead(f *testing.F) {
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("short reads changed the outcome: %v vs %v", wantErr, gotErr)
 		}
-		if wantErr == nil && !reflect.DeepEqual(want, got) {
+		if wantErr == nil && !sameImage(want, got) {
 			t.Fatal("short reads changed the parsed image")
 		}
 		// One-byte reads through the stdlib's pathological reader as well.
@@ -135,7 +183,9 @@ func FuzzReadImageShortRead(f *testing.F) {
 
 // TestReadImageHostileLengths pins the allocation hardening with
 // direct regression cases (the fuzzer found these shapes; keeping them
-// as named tests makes the contract explicit).
+// as named tests makes the contract explicit): each is rejected, and
+// none allocates more than a small constant, whatever length it
+// declares.
 func TestReadImageHostileLengths(t *testing.T) {
 	cases := map[string][]byte{
 		// Window size 0: the metadata rebuild walks windows of ws
@@ -177,8 +227,15 @@ func TestReadImageHostileLengths(t *testing.T) {
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
-			if img, err := ReadImage(bytes.NewReader(data)); err == nil {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			img, err := ReadImage(bytes.NewReader(data))
+			runtime.ReadMemStats(&after)
+			if err == nil {
 				t.Errorf("hostile input parsed into %d entries, want error", len(img.Entries))
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+				t.Errorf("hostile input allocated %d bytes, want under 64 KiB", got)
 			}
 		})
 	}

@@ -147,9 +147,11 @@ func ValidateImageBytes(b []byte) (int, error) {
 	}
 	switch ws {
 	case 4, 8, 16, 32:
-		// See ReadImage: the wire format stores int-DCT-W images only,
-		// so any other window is hostile or corrupt and must be
-		// rejected before the window-walking metadata rebuild.
+		// The wire format stores int-DCT-W images only, so every valid
+		// image carries one of the engine's window sizes. Anything else
+		// is hostile or corrupt, and must be rejected before the
+		// window-walking metadata rebuild: ws=0 would never advance it,
+		// and ws>32 would overflow the decoder's fixed window buffers.
 	default:
 		return 0, fmt.Errorf("core: invalid window size %d", ws)
 	}
@@ -163,6 +165,9 @@ func ValidateImageBytes(b []byte) (int, error) {
 	if count > maxImageEntries {
 		return 0, fmt.Errorf("core: implausible entry count %d", count)
 	}
+	// A window word reconstructs at most ws samples and a repeat
+	// codeword at most rle.MaxRun.
+	maxPerWord := uint64(max(rle.MaxRun, int(ws)))
 	for i := uint32(0); i < count; i++ {
 		if _, err := d.str(); err != nil { // key
 			return 0, err
@@ -188,8 +193,13 @@ func ValidateImageBytes(b []byte) (int, error) {
 			if wc > maxStreamWords {
 				return 0, fmt.Errorf("core: implausible stream length %d", wc)
 			}
-			if err := plausibleSamples(samples, wc, int(ws)); err != nil {
-				return 0, err
+			// A channel that claims more samples than its words could
+			// ever cover is malformed. The check also keeps the declared
+			// sample count proportional to the bytes actually present.
+			// The product is 64-bit: wc*maxPerWord can reach 2^36, which
+			// would wrap a 32-bit int and mis-reject valid images.
+			if uint64(samples) > uint64(wc)*maxPerWord {
+				return 0, fmt.Errorf("core: %d samples cannot decode from %d stream words", samples, wc)
 			}
 			if _, err := d.bytes(4 * int(wc)); err != nil {
 				return 0, err
@@ -199,11 +209,11 @@ func ValidateImageBytes(b []byte) (int, error) {
 	return d.off, nil
 }
 
-// DecodeImageBytes deserializes an image from an in-memory serialized
-// form (the same format ReadImage streams). ValidateImageBytes checks
-// the bytes first; only then is the image built, reading fields
-// straight from b with one exact-size allocation per string and word
-// stream — every count is already known to be backed by bytes present.
+// DecodeImageBytes deserializes an image from its serialized form, the
+// format's one decoder. ValidateImageBytes checks the bytes first; only
+// then is the image built, reading fields straight from b with one
+// exact-size allocation per string and word stream — every count is
+// already known to be backed by bytes present.
 func DecodeImageBytes(b []byte) (*Image, error) {
 	n, err := ValidateImageBytes(b)
 	if err != nil {
@@ -240,20 +250,6 @@ func DecodeImageBytes(b []byte) (*Image, error) {
 		e.Compressed = c
 	}
 	return img, nil
-}
-
-// plausibleSamples rejects channels claiming more samples than their
-// words could ever decode to (shared between ReadImage and
-// ValidateImageBytes; see the wire-format hardening notes in ReadImage).
-func plausibleSamples(samples, words uint32, ws int) error {
-	maxPerWord := uint64(rle.MaxRun)
-	if uint64(ws) > maxPerWord {
-		maxPerWord = uint64(ws)
-	}
-	if uint64(samples) > uint64(words)*maxPerWord {
-		return fmt.Errorf("core: %d samples cannot decode from %d stream words", samples, words)
-	}
-	return nil
 }
 
 // byteDecoder walks a serialized image in place. Its accessors return

@@ -148,7 +148,7 @@ func TestDecodeImageBytesRoundTrip(t *testing.T) {
 	if !bytes.Equal(back, wire) {
 		t.Fatal("DecodeImageBytes round trip changed the wire bytes")
 	}
-	// ...agree with the streaming reader entry for entry...
+	// ...agree with the io.Reader entry point entry for entry...
 	ref, err := ReadImage(bytes.NewReader(wire))
 	if err != nil {
 		t.Fatal(err)

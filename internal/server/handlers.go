@@ -71,33 +71,6 @@ var jsonContentType = []string{"application/json"}
 // bodies.
 var octetStreamContentType = []string{"application/octet-stream"}
 
-// maxRelayBuffer caps how much of a peer image the pure-proxy relay
-// will buffer for a single batched write; larger (or length-less)
-// bodies are piped through a fixed-size copy buffer instead.
-const maxRelayBuffer = 1 << 20
-
-// relayBufPool recycles proxy-relay body buffers so the steady-state
-// forwarded GET allocates nothing per request.
-var relayBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 64<<10)
-	return &b
-}}
-
-// relayBuf returns a pooled buffer with capacity >= n.
-func relayBuf(n int) *[]byte {
-	b := relayBufPool.Get().(*[]byte)
-	if cap(*b) < n {
-		*b = make([]byte, 0, n)
-	}
-	return b
-}
-
-// onlyWriter hides a ResponseWriter's ReadFrom so io.CopyBuffer
-// actually uses the pooled buffer instead of allocating its own.
-type onlyWriter struct{ w io.Writer }
-
-func (o onlyWriter) Write(p []byte) (int, error) { return o.w.Write(p) }
-
 // writeJSON stages the response in a pooled buffer and writes it in
 // one call. Encode and write failures are counted in the stats
 // (write_errors) and logged once per server — by the time a write
@@ -597,58 +570,11 @@ func (s *Server) writeWire(w http.ResponseWriter, wire []byte) {
 
 // serveImageForwarded answers a local image miss from the cluster: the
 // name's digest routes to its ring owner (and replica successors on
-// failure) through the pooled retrying/hedging peer client. The
-// default mode buffers the peer's bytes, validates them and indexes
-// exactly the image (written through to the store), so each image
-// migrates to every node that serves it and the next GET is local.
-// Pure-proxy mode (ClusterNoFill) instead pipes the peer's body
-// straight into the response — the two network hops overlap, nothing
-// is retained, and the end client's own decode rejects malformed
-// bytes.
+// failure) through the pooled retrying/hedging peer client. The peer's
+// bytes are validated and exactly the image is indexed (written through
+// to the store when there is one), so each image migrates to every node
+// that serves it and the next GET is local.
 func (s *Server) serveImageForwarded(w http.ResponseWriter, r *http.Request, name string) {
-	if s.cfg.ClusterNoFill {
-		rc, n, _, err := s.cluster.OpenImage(r.Context(), name)
-		if err != nil {
-			s.failForward(w, name, err)
-			return
-		}
-		defer rc.Close()
-		if n >= 0 && n <= maxRelayBuffer {
-			// Declared, sane length: read the body into a pooled buffer
-			// and answer with one batched write — the steady-state relay
-			// costs no allocation and no fragmented outer writes. A body
-			// shorter than declared dies here, before headers commit, as
-			// a retryable 502.
-			buf := relayBuf(int(n))
-			defer relayBufPool.Put(buf)
-			b := (*buf)[:n]
-			if _, err := io.ReadFull(rc, b); err != nil {
-				s.fail(w, &httpError{
-					status:     http.StatusBadGateway,
-					msg:        fmt.Sprintf("image %q: peer body truncated: %v", name, err),
-					retryAfter: time.Second,
-				})
-				return
-			}
-			s.writeWire(w, b)
-			return
-		}
-		// Unknown or oversized length: pipe the peer's body straight
-		// through so nothing of arbitrary size is buffered on the relay.
-		h := w.Header()
-		h["Content-Type"] = octetStreamContentType
-		if n >= 0 {
-			h.Set("Content-Length", strconv.FormatInt(n, 10))
-		}
-		buf := relayBuf(64 << 10)
-		defer relayBufPool.Put(buf)
-		if _, err := io.CopyBuffer(onlyWriter{w}, rc, *buf); err != nil {
-			// Headers are gone; all that is left is to cut the stream so
-			// the client sees a length mismatch, not silent truncation.
-			s.noteWriteError(err)
-		}
-		return
-	}
 	wire, _, err := s.cluster.FetchImage(r.Context(), name)
 	if err != nil {
 		s.failForward(w, name, err)
@@ -725,8 +651,7 @@ func (s *Server) handleImagePut(w http.ResponseWriter, r *http.Request) {
 	var wire []byte
 	var err error
 	if r.ContentLength >= 0 {
-		wire = make([]byte, r.ContentLength)
-		_, err = io.ReadFull(r.Body, wire)
+		wire, err = readDeclared(r.Body, r.ContentLength)
 	} else {
 		wire, err = io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	}
@@ -749,6 +674,37 @@ func (s *Server) handleImagePut(w http.ResponseWriter, r *http.Request) {
 	}
 	s.storeImage(name, si)
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// putChunk bounds the memory a PUT commits before its bytes arrive. A
+// body declared larger is read into a buffer that doubles toward the
+// declared length as it fills, so a declaration alone cannot make the
+// node allocate; the largest catalog library at window 16 (~130 KB)
+// still reads into one exact-size buffer.
+const putChunk = 256 << 10
+
+// readDeclared reads a body of declared length n into a buffer of
+// exactly n bytes, allocated as the bytes arrive. Its errors are
+// io.ReadFull's: io.EOF when nothing arrived, io.ErrUnexpectedEOF when
+// the body ended early.
+func readDeclared(r io.Reader, n int64) ([]byte, error) {
+	buf := make([]byte, 0, min(n, putChunk))
+	for {
+		got, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+got]
+		if err == io.EOF && len(buf) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+		if int64(len(buf)) == n {
+			return buf, nil
+		}
+		grown := make([]byte, len(buf), min(n, 2*int64(cap(buf))))
+		copy(grown, buf)
+		buf = grown
+	}
 }
 
 // handleCluster reports the ring view: every member with its gossip

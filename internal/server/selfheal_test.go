@@ -167,15 +167,35 @@ func TestGossipEndpointRejectsSelf(t *testing.T) {
 // zero compiles.
 func TestClusterRepairStreamsJoinedShard(t *testing.T) {
 	urls := reserveURLs(t, 3)
+	const shapes = 6
+	names, wantBytes, specSets := clusterShapes(t, shapes)
+
+	// The late joiner is the reserved URL that owns the most names on
+	// the ring over all three: six names over three members leave it at
+	// least two, whatever ports were drawn.
+	ring, err := cluster.NewRing(urls, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ownedBy := map[string]int{}
+	for _, name := range names {
+		owner, _ := ring.Owner(cluster.KeyFor(name), nil)
+		ownedBy[owner]++
+	}
+	last := 0
+	for i, u := range urls {
+		if ownedBy[u] > ownedBy[urls[last]] {
+			last = i
+		}
+	}
+	urls[last], urls[2] = urls[2], urls[last]
+
 	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
 	nodes := []*clusterNode{
 		startJoinNode(t, urls[0], nil, 1, dirs[0]),
 		startJoinNode(t, urls[1], []string{urls[0]}, 1, dirs[1]),
 	}
 	gossipUntilConverged(t, nodes)
-
-	const shapes = 6
-	names, wantBytes, specSets := clusterShapes(t, shapes)
 	for s := range names {
 		compileOn(t, nodes[ownerOf(t, nodes, names[s])], names[s], specSets[s], wantBytes[s])
 	}
@@ -192,8 +212,8 @@ func TestClusterRepairStreamsJoinedShard(t *testing.T) {
 			owned++
 		}
 	}
-	if owned == 0 {
-		t.Skip("ring placement left the late joiner without a shard for these names")
+	if owned != ownedBy[urls[2]] {
+		t.Fatalf("late joiner owns %d names, want the %d the three-member ring gives it", owned, ownedBy[urls[2]])
 	}
 
 	repaired := late.srv.RepairOnce(context.Background())

@@ -101,14 +101,10 @@ type Config struct {
 	// Cluster, when enabled (Self + Peers), joins this server to a
 	// digest-sharded serving tier: image GETs it cannot answer locally
 	// are forwarded to the key's consistent-hash owner and written
-	// through to the local store, and compiled named images are
-	// published to the owner and its ring successors. See
+	// through to the local index and store, and compiled named images
+	// are published to the owner and its ring successors. See
 	// internal/cluster.
 	Cluster cluster.Config
-	// ClusterNoFill disables the write-through fill of forwarded image
-	// fetches — the node then serves as a pure proxy for remote shards
-	// (diskless front ends, forwarding benchmarks).
-	ClusterNoFill bool
 	// RepairInterval paces the cluster's background anti-entropy loop:
 	// each round pulls images this node owns but does not hold from
 	// their current holders and drains any deliverable hints. 0 means

@@ -28,14 +28,14 @@ type Entry = core.Entry
 type Stats = core.Stats
 
 // ReadImage deserializes an image written by Image.WriteTo or
-// Service.CompileTo.
+// Service.CompileTo: it reads r to the end and decodes the bytes with
+// DecodeImageBytes.
 var ReadImage = core.ReadImage
 
 // DecodeImageBytes deserializes an image from an in-memory serialized
-// form. It is the zero-copy fast path for callers that already hold
-// the whole image in a byte slice (HTTP bodies, mmap'd files): every
-// length field is validated against the bytes present before each
-// exact-size stream allocation, with no intermediate reader buffering.
+// form, for callers that already hold the whole image in a byte slice
+// (HTTP bodies, mmap'd files): every length field is validated against
+// the bytes present before each exact-size stream allocation.
 var DecodeImageBytes = core.DecodeImageBytes
 
 // Service is the compile/playback front end of the library. It pairs a
