@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"compaqt"
+	"compaqt/internal/core"
 )
 
 // Client talks to a compaqt compile server. It is safe for concurrent
@@ -26,13 +27,11 @@ import (
 // — is retried automatically on transport failures and retryable
 // server responses (429/5xx) with exponential backoff and full jitter,
 // honoring a server-supplied Retry-After. See RetryPolicy and
-// WithRetry; WithHedge additionally races a second ImageRaw attempt
-// against a slow first one.
+// WithRetry.
 type Client struct {
 	base  string
 	hc    *http.Client
 	retry RetryPolicy
-	hedge time.Duration
 	// timeoutHeader caches retry.AttemptTimeout.String() so the hot
 	// request path does not re-format the same duration per call.
 	timeoutHeader string
@@ -89,20 +88,6 @@ func WithRetry(p RetryPolicy) Option {
 // exactly one attempt.
 func WithRetryDisabled() Option {
 	return func(c *Client) { c.retry = RetryPolicy{MaxAttempts: 1} }
-}
-
-// WithHedge enables hedged image reads: if an ImageRaw (or Image) GET
-// has not completed after delay, a second identical request is raced
-// against it — the first response wins and the loser is canceled.
-// Pick the delay near the endpoint's tail latency (p95/p99); stored
-// images serve in microseconds, so even a small delay only fires when
-// something is genuinely wrong with the first attempt.
-func WithHedge(delay time.Duration) Option {
-	return func(c *Client) {
-		if delay > 0 {
-			c.hedge = delay
-		}
-	}
 }
 
 // WithHeader stamps a static header on every request the client
@@ -210,13 +195,12 @@ func (c *Client) CompileBatch(ctx context.Context, req BatchRequest) (*BatchResp
 }
 
 // ImageRaw streams a stored image's serialized wire-format bytes,
-// retrying (and, under WithHedge, racing a second attempt against a
-// slow first one) like every idempotent call.
+// retrying like every idempotent call.
 func (c *Client) ImageRaw(ctx context.Context, name string) ([]byte, error) {
 	var b []byte
 	err := c.withRetry(ctx, func(ctx context.Context) error {
 		var err error
-		b, err = c.imageRawHedged(ctx, name)
+		b, err = c.imageRawOnce(ctx, name)
 		return err
 	})
 	if err != nil {
@@ -229,9 +213,7 @@ func (c *Client) ImageRaw(ctx context.Context, name string) ([]byte, error) {
 // them: the returned reader is the response body, and the int64 is the
 // declared Content-Length (-1 when chunked). Retries cover the
 // connection and header phase only — once bytes flow, a failure
-// surfaces to the caller, who owns closing the reader. Hedging does
-// not apply; it exists to race buffered reads, not to tee two live
-// streams.
+// surfaces to the caller, who owns closing the reader.
 func (c *Client) ImageReader(ctx context.Context, name string) (io.ReadCloser, int64, error) {
 	attempts := c.retry.MaxAttempts
 	if attempts < 1 {
@@ -263,64 +245,6 @@ func (c *Client) Image(ctx context.Context, name string) (*compaqt.Image, error)
 	}
 	// The body is fully in hand: decode it in place.
 	return compaqt.DecodeImageBytes(b)
-}
-
-// imageRawHedged runs one hedged image GET: a second attempt launches
-// if the first is still in flight after the hedge delay, the first
-// response wins, and the loser is canceled through the shared context.
-// A failed first attempt before the hedge fires is returned directly —
-// failure handling belongs to the retry layer, hedging only covers
-// slowness. When both attempts fail, the error returned is the most
-// recent one, except that a typed *APIError (the server actually
-// answered) always beats a bare transport failure: the attempt whose
-// request died of the shared-context cancellation race must not mask
-// what the server really said.
-func (c *Client) imageRawHedged(ctx context.Context, name string) ([]byte, error) {
-	if c.hedge <= 0 {
-		return c.imageRawOnce(ctx, name)
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type result struct {
-		b   []byte
-		err error
-	}
-	resc := make(chan result, 2)
-	run := func() {
-		b, err := c.imageRawOnce(hctx, name)
-		resc <- result{b, err}
-	}
-	go run()
-	outstanding := 1
-	hedged := false
-	timer := time.NewTimer(c.hedge)
-	defer timer.Stop()
-	var lastErr, lastAPIErr error
-	for {
-		select {
-		case r := <-resc:
-			if r.err == nil {
-				return r.b, nil
-			}
-			lastErr = r.err
-			var apiErr *APIError
-			if errors.As(r.err, &apiErr) {
-				lastAPIErr = r.err
-			}
-			if outstanding--; outstanding == 0 {
-				if lastAPIErr != nil {
-					return nil, lastAPIErr
-				}
-				return nil, lastErr
-			}
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				outstanding++
-				go run()
-			}
-		}
-	}
 }
 
 // PutImageRaw publishes serialized wire-format image bytes under name
@@ -434,20 +358,21 @@ func (c *Client) imageRawOnce(ctx context.Context, name string) ([]byte, error) 
 	return b, nil
 }
 
-// readBody reads a response body into one right-sized buffer when the
-// server declared its length — the image endpoints always do — instead
-// of io.ReadAll's grow-and-copy loop, which matters on the forwarding
-// hot path where every image GET rides this. Chunked or absurd lengths
-// fall back to ReadAll; a body shorter than declared surfaces as
-// io.ErrUnexpectedEOF (a retryable transport failure), longer as an
-// explicit error.
+// readBody reads a response body into a buffer of exactly its declared
+// length — the image endpoints always declare one — instead of
+// io.ReadAll's over-allocating grow loop, which matters on the
+// forwarding hot path where every image GET rides this. The buffer is
+// allocated as bytes arrive (core.ReadDeclared), so a declared length
+// alone commits no memory. Chunked bodies fall back to ReadAll; a body
+// shorter than declared surfaces as io.ErrUnexpectedEOF (a retryable
+// transport failure), longer as an explicit error.
 func readBody(res *http.Response) ([]byte, error) {
 	n := res.ContentLength
-	if n < 0 || n > 1<<30 {
+	if n < 0 {
 		return io.ReadAll(res.Body)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(res.Body, b); err != nil {
+	b, err := core.ReadDeclared(res.Body, n)
+	if err != nil {
 		return nil, err
 	}
 	var tail [1]byte

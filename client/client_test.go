@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -195,106 +197,26 @@ func TestAttemptTimeoutRetriesSlowAttempt(t *testing.T) {
 	}
 }
 
-func TestHedgedImageReadWinsOverSlowFirst(t *testing.T) {
-	var calls atomic.Int64
-	release := make(chan struct{})
+// TestImageRawCommitsMemoryAsBytesArrive pins the body read every
+// forward-and-fill and repair fetch goes through: a server that
+// declares a 64 MiB image and sends one byte costs the client what
+// arrived, not what was declared, and the short body still fails as a
+// truncation.
+func TestImageRawCommitsMemoryAsBytesArrive(t *testing.T) {
+	const declared = 64<<20 - 1
 	c, _ := newTestClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			// The first attempt stalls until the test ends; only the
-			// hedge can answer.
-			select {
-			case <-release:
-			case <-r.Context().Done():
-			}
-			return
-		}
-		io.WriteString(w, "wire-bytes")
-	}), WithHedge(5*time.Millisecond))
-	defer close(release)
-	b, err := c.ImageRaw(context.Background(), "img")
-	if err != nil {
-		t.Fatalf("hedged ImageRaw: %v", err)
-	}
-	if string(b) != "wire-bytes" {
-		t.Fatalf("body = %q", b)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("server saw %d calls, want 2 (hedge fired)", got)
-	}
-}
-
-func TestHedgeNotFiredOnFastFirst(t *testing.T) {
-	var calls atomic.Int64
-	c, _ := newTestClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		io.WriteString(w, "wire-bytes")
-	}), WithHedge(time.Hour))
-	if _, err := c.ImageRaw(context.Background(), "img"); err != nil {
-		t.Fatal(err)
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("server saw %d calls, want 1 (no hedge)", got)
-	}
-}
-
-func TestHedgeFirstFailureReturnsWithoutWaiting(t *testing.T) {
-	var calls atomic.Int64
-	c, _ := newTestClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		http.Error(w, `{"error":"no such image"}`, http.StatusNotFound)
-	}), WithHedge(time.Hour), WithRetryDisabled())
-	start := time.Now()
-	_, err := c.ImageRaw(context.Background(), "missing")
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusNotFound {
-		t.Fatalf("err = %v, want 404", err)
-	}
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Fatalf("failure waited %v for an hour-long hedge timer", elapsed)
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("server saw %d calls, want 1", got)
-	}
-}
-
-// TestHedgeFailureDoesNotMaskAPIError pins the hedged-failure error
-// choice: when the first attempt dies of a transport failure after the
-// hedge has launched, the hedge's typed *APIError — the server's
-// actual answer — must come back, not the stale transport error the
-// old code pinned as "first". Channel handshakes order the failures
-// deterministically: first attempt aborts mid-response only once the
-// hedge is in flight, the hedge answers 404 only after the abort.
-func TestHedgeFailureDoesNotMaskAPIError(t *testing.T) {
-	var calls atomic.Int64
-	hedgeStarted := make(chan struct{})
-	firstAborted := make(chan struct{})
-	c, _ := newTestClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch calls.Add(1) {
-		case 1:
-			<-hedgeStarted
-			defer close(firstAborted)
-			panic(http.ErrAbortHandler) // transport-level failure to the client
-		default:
-			close(hedgeStarted)
-			<-firstAborted
-			// Let the first attempt's transport error reach the hedging
-			// loop before this response does, reproducing the masking
-			// order. (The fix holds under either arrival order; only the
-			// old code's failure is order-dependent.)
-			time.Sleep(20 * time.Millisecond)
-			http.Error(w, `{"error":"no stored image"}`, http.StatusNotFound)
-		}
-	}), WithHedge(time.Millisecond), WithRetryDisabled())
+		w.Header().Set("Content-Length", strconv.Itoa(declared))
+		w.Write([]byte{0xa5})
+	}), WithRetryDisabled())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	_, err := c.ImageRaw(context.Background(), "img")
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) {
-		t.Fatalf("err = %v, want the hedge's *APIError, not the first attempt's transport error", err)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
 	}
-	if apiErr.StatusCode != http.StatusNotFound {
-		t.Fatalf("StatusCode = %d, want 404", apiErr.StatusCode)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("server saw %d calls, want 2", got)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("ImageRaw of a body declaring %d bytes and sending 1 allocated %d bytes, want under 1 MiB", declared, got)
 	}
 }
 

@@ -19,16 +19,16 @@
 // GET /healthz. See the client package for the typed Go client.
 // SIGINT/SIGTERM drain in-flight requests before exit.
 //
-// With -join (one or more gossip seeds) or -peers (a static member
-// list, still honored) the process joins a digest-sharded cluster:
-// image names hash onto a consistent-hash ring over the member URLs,
-// GETs for remote shards are forwarded to their owner (and written
-// through to the local store), and each compiled named image is
-// published to its owner plus -replication-1 ring successors.
-// Membership is gossiped, failed publishes are hinted to
-// <store-dir>/HINTS and replayed when the peer heals, and a background
-// anti-entropy loop (-repair-interval) streams the shard this node
-// owns from current holders.
+// With -join (one or more cluster members: the whole list or one live
+// seed) the process joins a digest-sharded cluster: image names hash
+// onto a consistent-hash ring over the member URLs, GETs for remote
+// shards are forwarded to their owner (and written through to the
+// local store), and each compiled named image is published to its
+// owner plus -replication-1 ring successors. -peers is a deprecated
+// spelling of -join. Membership is gossiped, failed publishes are
+// hinted to <store-dir>/HINTS and replayed when the peer heals, and a
+// background anti-entropy loop (-repair-interval) streams the shard
+// this node owns from current holders.
 package main
 
 import (
@@ -71,16 +71,15 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 0, "http.Server IdleTimeout (0 = 2m, negative = disabled)")
 	storeDir := flag.String("store-dir", "", "persistent image store directory (empty = no persistence)")
 	storeMax := flag.Int64("store-max-bytes", 0, "persistent store size budget in bytes (0 = 1 GiB)")
-	self := flag.String("self", "", "this node's advertised base URL in the cluster (e.g. http://10.0.0.1:8371; required with -peers or -join)")
-	peers := flag.String("peers", "", "comma-separated base URLs of every cluster member, this node included (empty = standalone)")
-	join := flag.String("join", "", "comma-separated gossip seed URLs: join an existing cluster and learn the rest of the table")
+	self := flag.String("self", "", "this node's advertised base URL in the cluster (e.g. http://10.0.0.1:8371; required with -join)")
+	join := flag.String("join", "", "comma-separated base URLs of one or more cluster members, this node's own allowed; gossip learns the rest of the table (empty = standalone)")
+	peers := flag.String("peers", "", "deprecated: same as -join")
 	replication := flag.Int("replication", 1, "cluster replication factor: ring members each image is published to")
 	clusterProbe := flag.Duration("cluster-probe", 0, "peer health-probe interval (0 = 1s, negative = disabled)")
 	gossipInterval := flag.Duration("gossip-interval", 0, "membership gossip push-pull interval (0 = 1s, negative = disabled)")
 	suspectTimeout := flag.Duration("suspect-timeout", 0, "how long a suspect member may stay silent before it is declared dead (0 = 5s)")
 	repairInterval := flag.Duration("repair-interval", 0, "anti-entropy shard-repair interval (0 = 5s, negative = disabled)")
 	hintPath := flag.String("hints", "", "hinted-handoff log path (empty = <store-dir>/HINTS when clustered with a store, else memory-only)")
-	clusterHedge := flag.Duration("cluster-hedge", 0, "delay before a peer image GET races a hedged second attempt (0 = 25ms, negative = disabled)")
 	flag.Parse()
 
 	if *listCodecs {
@@ -99,13 +98,15 @@ func main() {
 		}
 		return out
 	}
-	peerList := splitURLs(*peers)
-	joinList := splitURLs(*join)
-	if (len(peerList) > 0 || len(joinList) > 0) && *self == "" {
-		log.Fatal("compaqt-serve: -peers and -join require -self (this node's advertised URL)")
+	if *peers != "" {
+		log.Print("compaqt-serve: -peers is deprecated; use -join, which does the same")
+	}
+	seeds := append(splitURLs(*join), splitURLs(*peers)...)
+	if len(seeds) > 0 && *self == "" {
+		log.Fatal("compaqt-serve: -join requires -self (this node's advertised URL)")
 	}
 	hints := *hintPath
-	if hints == "" && *storeDir != "" && (*self != "" || len(peerList) > 0 || len(joinList) > 0) {
+	if hints == "" && *storeDir != "" && (*self != "" || len(seeds) > 0) {
 		hints = filepath.Join(*storeDir, "HINTS")
 	}
 
@@ -125,14 +126,12 @@ func main() {
 		StoreMaxBytes:  *storeMax,
 		Cluster: cluster.Config{
 			Self:           strings.TrimRight(*self, "/"),
-			Peers:          peerList,
-			Join:           joinList,
+			Peers:          seeds,
 			Replication:    *replication,
 			ProbeInterval:  *clusterProbe,
 			GossipInterval: *gossipInterval,
 			SuspectTimeout: *suspectTimeout,
 			HintPath:       hints,
-			Hedge:          *clusterHedge,
 			Transport:      peerTransport(),
 		},
 		RepairInterval: *repairInterval,

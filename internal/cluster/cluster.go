@@ -12,21 +12,19 @@ import (
 	"compaqt/client"
 )
 
-// Config assembles a Cluster. Membership seeds come from Peers (the
-// PR 9 static list, still honored) and/or Join (one or more gossip
-// seeds — the table is pulled from them and the ring grows as members
-// are learned); everything else tunes forwarding, liveness and repair.
+// Config assembles a Cluster. Membership seeds come from Peers; the
+// rest tunes placement, liveness, hinted handoff and the peer
+// transport.
 type Config struct {
 	// Self is this node's advertised base URL, the identity other
 	// members route to ("http://10.0.0.1:8371").
 	Self string
-	// Peers statically seeds the member table, Self included or not.
-	// Order does not matter: members sort into the identical ring.
+	// Peers seeds the member table, Self included or not. It may list
+	// the whole cluster or just one live member: gossip pulls the full
+	// table from whichever seeds answer, and the ring grows as members
+	// are learned. Order does not matter: members sort into the
+	// identical ring.
 	Peers []string
-	// Join lists gossip seeds: members contacted for their full table
-	// at startup. Unlike Peers it need not be the whole cluster — one
-	// live seed is enough, the rest is learned.
-	Join []string
 	// Replication is the number of ring members an image is published
 	// to (owner plus successors); 0 means 1 — the owner only. It may
 	// exceed the current member count: lookups clamp per call, so a
@@ -54,17 +52,13 @@ type Config struct {
 	// MaxHintBytes bounds the hint log; 0 means 16 MiB. Past it the
 	// oldest hints are dropped (anti-entropy repair is the backstop).
 	MaxHintBytes int64
-	// Hedge is the delay after which a peer image GET races a second
-	// attempt (client.WithHedge) — the replica tail-latency cover; 0
-	// means 25ms, negative disables hedging.
-	Hedge time.Duration
 	// Transport substitutes the HTTP transport under every peer client
 	// (fault injection, custom dialers); nil means the default.
 	Transport http.RoundTripper
 }
 
 // Enabled reports whether the config asks for a cluster at all.
-func (c Config) Enabled() bool { return c.Self != "" || len(c.Peers) > 0 || len(c.Join) > 0 }
+func (c Config) Enabled() bool { return c.Self != "" || len(c.Peers) > 0 }
 
 // ForwardedHeader marks inter-peer requests. A server receiving a
 // marked GET answers from local state only — one hop, never a cycle,
@@ -114,8 +108,7 @@ type Cluster struct {
 	self string
 	repl int
 
-	hedge time.Duration
-	hc    *http.Client
+	hc *http.Client
 
 	// mu guards the member table, the ring pointer, and the gossip
 	// bookkeeping. The ring itself is immutable — mutation is a rebuild
@@ -140,20 +133,16 @@ type Cluster struct {
 }
 
 // New builds a Cluster from cfg. The initial table covers
-// {Self} ∪ Peers ∪ Join; gossip grows it from there. One retrying,
-// hedging client is built per remote member and reused for every
-// forward, publish, probe and gossip exchange.
+// {Self} ∪ Peers; gossip grows it from there. One retrying client is
+// built per remote member and reused for every forward, publish, probe
+// and gossip exchange.
 func New(cfg Config) (*Cluster, error) {
 	if cfg.Self == "" {
-		return nil, fmt.Errorf("cluster: Self (this node's advertised URL) is required with Peers or Join")
+		return nil, fmt.Errorf("cluster: Self (this node's advertised URL) is required with Peers")
 	}
 	repl := cfg.Replication
 	if repl <= 0 {
 		repl = 1
-	}
-	hedge := cfg.Hedge
-	if hedge == 0 {
-		hedge = 25 * time.Millisecond
 	}
 	inner := cfg.Transport
 	if inner == nil {
@@ -167,7 +156,6 @@ func New(cfg Config) (*Cluster, error) {
 		cfg:            cfg,
 		self:           cfg.Self,
 		repl:           repl,
-		hedge:          hedge,
 		hc:             &http.Client{Transport: inner},
 		members:        make(map[string]*member),
 		selfInc:        1,
@@ -184,12 +172,6 @@ func New(cfg Config) (*Cluster, error) {
 		if m != "" && c.addMemberLocked(m) == nil {
 			c.mu.Unlock()
 			return nil, fmt.Errorf("cluster: invalid peer URL %q", m)
-		}
-	}
-	for _, m := range cfg.Join {
-		if m != "" && m != c.self && c.addMemberLocked(m) == nil {
-			c.mu.Unlock()
-			return nil, fmt.Errorf("cluster: invalid join seed URL %q", m)
 		}
 	}
 	c.mu.Unlock()
@@ -211,7 +193,7 @@ func New(cfg Config) (*Cluster, error) {
 // buildPeerClient assembles the resilient client one remote member is
 // talked to with.
 func (c *Cluster) buildPeerClient(url string) *client.Client {
-	opts := []client.Option{
+	return client.New(url,
 		client.WithHTTPClient(c.hc),
 		// Every peer request — forward, publish, probe or gossip — is
 		// marked internal so the receiver serves local state only (one
@@ -225,11 +207,7 @@ func (c *Cluster) buildPeerClient(url string) *client.Client {
 			MaxDelay:       250 * time.Millisecond,
 			AttemptTimeout: 5 * time.Second,
 		}),
-	}
-	if c.hedge > 0 {
-		opts = append(opts, client.WithHedge(c.hedge))
-	}
-	return client.New(url, opts...)
+	)
 }
 
 // addMemberLocked adds url to the table (idempotently) and, when it is

@@ -54,7 +54,7 @@ func newFakePeer(t *testing.T, images map[string][]byte) *fakePeer {
 }
 
 // newTestCluster builds a Cluster whose sole remote member is the fake
-// peer. Probing and hedging are disabled so every liveness transition
+// peer. Probing and gossip are disabled so every liveness transition
 // in the tests is explicit.
 func newTestCluster(t *testing.T, p *fakePeer, extra ...string) *Cluster {
 	t.Helper()
@@ -64,7 +64,6 @@ func newTestCluster(t *testing.T, p *fakePeer, extra ...string) *Cluster {
 		Replication:    2,
 		ProbeInterval:  -1,
 		GossipInterval: -1,
-		Hedge:          -1,
 	})
 	if err != nil {
 		t.Fatal(err)

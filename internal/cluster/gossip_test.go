@@ -211,7 +211,6 @@ func TestSuspectTimeoutPromotesToDead(t *testing.T) {
 		ProbeInterval:  -1,
 		GossipInterval: -1,
 		SuspectTimeout: time.Millisecond,
-		Hedge:          -1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,7 @@
 // behind its virtual nodes, so the content digests that already key
 // the compile cache and the persistent store double as the partition
 // key. A node that does not hold an image forwards the GET to the
-// key's owner over the resilient client (retries, hedging) and fills
+// key's owner over the resilient client (retries) and fills
 // its own store from the answer; a compiled image is published to the
 // owner and its ring successors (replication factor R), so every shard
 // survives a node loss.

@@ -215,6 +215,37 @@ func ReadImage(r io.Reader) (*Image, error) {
 	return DecodeImageBytes(b)
 }
 
+// declaredChunk bounds the memory ReadDeclared commits before bytes
+// arrive. A body declared larger is read into a buffer that doubles
+// toward the declared length as it fills, so a declaration alone cannot
+// make the reader allocate; the largest catalog library at window 16
+// (~130 KB) still reads into one exact-size buffer.
+const declaredChunk = 256 << 10
+
+// ReadDeclared reads a body of declared length n (an HTTP
+// Content-Length, say) into a buffer of exactly n bytes, allocated as
+// the bytes arrive. Its errors are io.ReadFull's: io.EOF when nothing
+// arrived, io.ErrUnexpectedEOF when the body ended early.
+func ReadDeclared(r io.Reader, n int64) ([]byte, error) {
+	buf := make([]byte, 0, min(n, declaredChunk))
+	for {
+		got, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+got]
+		if err == io.EOF && len(buf) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+		if int64(len(buf)) == n {
+			return buf, nil
+		}
+		grown := make([]byte, len(buf), min(n, 2*int64(cap(buf))))
+		copy(grown, buf)
+		buf = grown
+	}
+}
+
 // rebuildChannelMeta reconstructs the per-window word counts and repeat
 // statistics from a deserialized stream (they are derivable, so the
 // format does not store them).

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"testing"
 
 	"compaqt/internal/device"
@@ -140,6 +142,29 @@ func TestReadImageRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadImage(bytes.NewReader(nil)); err == nil {
 		t.Error("empty input should error")
+	}
+}
+
+// TestReadDeclared pins the declared-length body reader the PUT
+// handler and the peer client share: an honest body of any size comes
+// back whole in a buffer of exactly its length, and a short one fails
+// as io.ReadFull would.
+func TestReadDeclared(t *testing.T) {
+	for _, n := range []int{0, 1, declaredChunk, declaredChunk + 1, 5*declaredChunk + 3} {
+		body := bytes.Repeat([]byte{0xa5}, n)
+		got, err := ReadDeclared(bytes.NewReader(body), int64(n))
+		if err != nil || !bytes.Equal(got, body) || cap(got) != n {
+			t.Fatalf("%d-byte body: %d bytes, cap %d, err %v; want the body in an exact-size buffer", n, len(got), cap(got), err)
+		}
+	}
+	for _, tc := range []struct {
+		sent int
+		want error
+	}{{0, io.EOF}, {1, io.ErrUnexpectedEOF}, {declaredChunk, io.ErrUnexpectedEOF}, {declaredChunk + 1, io.ErrUnexpectedEOF}} {
+		_, err := ReadDeclared(bytes.NewReader(make([]byte, tc.sent)), 2*declaredChunk)
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("%d of %d declared bytes: err %v, want %v", tc.sent, 2*declaredChunk, err, tc.want)
+		}
 	}
 }
 

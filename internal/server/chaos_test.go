@@ -139,11 +139,7 @@ func chaosRun(t *testing.T, seed uint64) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			opts := []client.Option{client.WithHTTPClient(faultyHTTP), client.WithRetry(retry)}
-			if c%3 == 0 {
-				opts = append(opts, client.WithHedge(10*time.Millisecond))
-			}
-			cl := client.New(hs.URL, opts...)
+			cl := client.New(hs.URL, client.WithHTTPClient(faultyHTTP), client.WithRetry(retry))
 			for i := 0; i < iters; i++ {
 				// Stride 2 so the batch clients (c%4 in {0,1}, i.e. c mod 8
 				// in {0,1,4,5}) reach all 8 shapes even in -short mode's two

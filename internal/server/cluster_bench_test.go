@@ -50,7 +50,6 @@ func newBenchCluster(b *testing.B) *benchCluster {
 				Peers:          urls,
 				ProbeInterval:  -1,
 				GossipInterval: -1,
-				Hedge:          -1,
 			},
 		}
 		if i == 0 {

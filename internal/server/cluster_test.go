@@ -2,7 +2,7 @@
 // listeners, exercising consistent-hash routing, publish-on-compile
 // replication, forwarded GETs with write-through fill, warm restart of
 // a member, and re-routing around a killed peer — all with byte
-// identity against in-process reference compiles. Probing and hedging
+// identity against in-process reference compiles. Probing and gossip
 // are disabled in the harness so every liveness transition the tests
 // observe is one they caused.
 package server
@@ -76,7 +76,6 @@ func startClusterNode(t *testing.T, ln net.Listener, self string, peers []string
 			Replication:    repl,
 			ProbeInterval:  -1, // tests drive Probe explicitly
 			GossipInterval: -1, // tests drive GossipOnce explicitly
-			Hedge:          -1, // no timing-dependent duplicate requests
 		},
 	}
 	if mutate != nil {

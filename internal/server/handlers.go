@@ -19,6 +19,7 @@ import (
 	"compaqt/client"
 	"compaqt/codec"
 	"compaqt/internal/cluster"
+	"compaqt/internal/core"
 	"compaqt/internal/store"
 	"compaqt/qctrl"
 	"compaqt/waveform"
@@ -570,9 +571,9 @@ func (s *Server) writeWire(w http.ResponseWriter, wire []byte) {
 
 // serveImageForwarded answers a local image miss from the cluster: the
 // name's digest routes to its ring owner (and replica successors on
-// failure) through the pooled retrying/hedging peer client. The peer's
-// bytes are validated and exactly the image is indexed (written through
-// to the store when there is one), so each image migrates to every node
+// failure) through the pooled retrying peer client. The peer's bytes
+// are validated and exactly the image is indexed (written through to
+// the store when there is one), so each image migrates to every node
 // that serves it and the next GET is local.
 func (s *Server) serveImageForwarded(w http.ResponseWriter, r *http.Request, name string) {
 	wire, _, err := s.cluster.FetchImage(r.Context(), name)
@@ -651,7 +652,7 @@ func (s *Server) handleImagePut(w http.ResponseWriter, r *http.Request) {
 	var wire []byte
 	var err error
 	if r.ContentLength >= 0 {
-		wire, err = readDeclared(r.Body, r.ContentLength)
+		wire, err = core.ReadDeclared(r.Body, r.ContentLength)
 	} else {
 		wire, err = io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	}
@@ -674,37 +675,6 @@ func (s *Server) handleImagePut(w http.ResponseWriter, r *http.Request) {
 	}
 	s.storeImage(name, si)
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// putChunk bounds the memory a PUT commits before its bytes arrive. A
-// body declared larger is read into a buffer that doubles toward the
-// declared length as it fills, so a declaration alone cannot make the
-// node allocate; the largest catalog library at window 16 (~130 KB)
-// still reads into one exact-size buffer.
-const putChunk = 256 << 10
-
-// readDeclared reads a body of declared length n into a buffer of
-// exactly n bytes, allocated as the bytes arrive. Its errors are
-// io.ReadFull's: io.EOF when nothing arrived, io.ErrUnexpectedEOF when
-// the body ended early.
-func readDeclared(r io.Reader, n int64) ([]byte, error) {
-	buf := make([]byte, 0, min(n, putChunk))
-	for {
-		got, err := io.ReadFull(r, buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+got]
-		if err == io.EOF && len(buf) > 0 {
-			err = io.ErrUnexpectedEOF
-		}
-		if err != nil {
-			return nil, err
-		}
-		if int64(len(buf)) == n {
-			return buf, nil
-		}
-		grown := make([]byte, len(buf), min(n, 2*int64(cap(buf))))
-		copy(grown, buf)
-		buf = grown
-	}
 }
 
 // handleCluster reports the ring view: every member with its gossip

@@ -1,7 +1,9 @@
 // Self-healing tier tests over real HTTP listeners: gossip join (the
 // -join flag's path) growing a cluster from one seed, anti-entropy
-// repair streaming a joining node's shard, hinted handoff replaying a
-// missed publish after a restart, and the scope=cluster stats fan-out.
+// repair streaming a joining node's shard and restoring a publish a
+// restarted replica missed, hinted handoff replaying a missed publish
+// (and a rebind repair alone would roll back) after a restart, and the
+// scope=cluster stats fan-out.
 // Gossip, probing and repair are all driven explicitly so every
 // convergence step is one the test caused.
 package server
@@ -9,6 +11,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"errors"
 	"net"
 	"net/http/httptest"
@@ -20,7 +23,7 @@ import (
 )
 
 // startJoinNode boots one member that knows only itself and the given
-// gossip seeds — the -join bootstrap, as opposed to the full -peers
+// gossip seeds — the -join bootstrap, as opposed to the full member
 // list startClusterNode wires.
 func startJoinNode(t *testing.T, self string, join []string, repl int, storeDir string) *clusterNode {
 	t.Helper()
@@ -34,11 +37,10 @@ func startJoinNode(t *testing.T, self string, join []string, repl int, storeDir 
 		RepairInterval: -1,
 		Cluster: cluster.Config{
 			Self:           self,
-			Join:           join,
+			Peers:          join,
 			Replication:    repl,
 			ProbeInterval:  -1,
 			GossipInterval: -1,
-			Hedge:          -1,
 		},
 	}
 	srv, err := New(cfg)
@@ -328,6 +330,174 @@ func TestClusterHintedHandoffReplaysAfterRestart(t *testing.T) {
 	}
 	if st := restarted.srv.cluster.Counters(); st.Forwarded != 0 {
 		t.Errorf("restarted node forwarded %d GETs for a hinted image, want 0", st.Forwarded)
+	}
+}
+
+// TestClusterRepairRestoresMissedPublishAfterRestart kills a replica,
+// compiles through the outage (the publish to the dead member fails and
+// is counted), restarts the member on its old address, and proves that
+// one anti-entropy round on the restarted node restores the missed
+// image: it then serves it from local state without recompiling or
+// forwarding.
+func TestClusterRepairRestoresMissedPublishAfterRestart(t *testing.T) {
+	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
+	withStores := func(i int, cfg *Config) { cfg.StoreDir = dirs[i] }
+	nodes := startClusterNodes(t, 3, 2, withStores)
+	names, wantBytes, specSets := clusterShapes(t, 6)
+	ctx := context.Background()
+
+	// Pick a name whose replica set contains two distinct non-self
+	// nodes: compile on one, kill the other, so the publish must cross
+	// the wire to a dead member.
+	pick, compiler, victim := -1, -1, -1
+	for s, name := range names {
+		var owners []int
+		for i, n := range nodes {
+			if n.srv.cluster.Owns(name) {
+				owners = append(owners, i)
+			}
+		}
+		if len(owners) == 2 {
+			pick, compiler, victim = s, owners[0], owners[1]
+			break
+		}
+	}
+	if pick < 0 {
+		t.Fatal("no name with a 2-node replica set; the ring lost replication")
+	}
+
+	self := nodes[victim].url
+	peers := []string{nodes[0].url, nodes[1].url, nodes[2].url}
+	nodes[victim].kill()
+	compileOn(t, nodes[compiler], names[pick], specSets[pick], wantBytes[pick])
+	if st := nodes[compiler].srv.cluster.Counters(); st.PeerErrors == 0 {
+		t.Fatalf("publish to the dead replica counted no peer error: %+v", st)
+	}
+
+	// Restart the victim on its old address and store; its first repair
+	// round pulls the publish it missed from the compiler.
+	ln, err := net.Listen("tcp", self[len("http://"):])
+	if err != nil {
+		t.Fatalf("re-binding %s: %v", self, err)
+	}
+	restarted := startClusterNode(t, ln, self, peers, 2, victim, withStores)
+	if n := restarted.srv.RepairOnce(ctx); n != 1 {
+		t.Fatalf("RepairOnce on the restarted node repaired %d images, want the 1 publish it missed", n)
+	}
+
+	// The restarted node now holds the missed image locally: it serves
+	// the exact bytes with zero compiles and zero forwards.
+	b, err := restarted.cl.ImageRaw(ctx, names[pick])
+	if err != nil {
+		t.Fatalf("GET repaired image from restarted node: %v", err)
+	}
+	if !bytes.Equal(b, wantBytes[pick]) {
+		t.Fatal("repaired image bytes differ from the in-process compile")
+	}
+	if got := restarted.srv.m.compileCalls.Load(); got != 0 {
+		t.Errorf("restarted node compiled %d times, want 0", got)
+	}
+	if st := restarted.srv.cluster.Counters(); st.Forwarded != 0 {
+		t.Errorf("restarted node forwarded %d GETs for a repaired image, want 0", st.Forwarded)
+	}
+}
+
+// TestClusterRebindDuringOutageSurvivesRepair pins the rebind case of
+// catch-up. Both owners hold a name; one is killed, the name is
+// recompiled from a different batch on the surviving owner, and the
+// killed owner restarts on its old store, still bound to the old
+// digest. Repair compares digests, not versions (ROADMAP item 1), so a
+// survivor repair round that runs first would find the old digest on
+// the restarted owner, see that it lacks it, and pull it back over the
+// new binding. The hint queued for the restarted owner is what prevents
+// that: the survivor's probe heals it and the replay rebinds it before
+// either owner repairs. Repair then runs on the survivor first, and
+// every node must end on the new bytes.
+func TestClusterRebindDuringOutageSurvivesRepair(t *testing.T) {
+	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
+	withStores := func(i int, cfg *Config) { cfg.StoreDir = dirs[i] }
+	nodes := startClusterNodes(t, 3, 2, withStores)
+	names, wantBytes, specSets := clusterShapes(t, 6)
+	ctx := context.Background()
+
+	pick, survivor, victim, other := -1, -1, -1, -1
+	for s, name := range names {
+		var owners []int
+		for i, n := range nodes {
+			if n.srv.cluster.Owns(name) {
+				owners = append(owners, i)
+			}
+		}
+		if len(owners) == 2 {
+			pick, survivor, victim = s, owners[0], owners[1]
+			break
+		}
+	}
+	if pick < 0 {
+		t.Fatal("no name with a 2-node replica set; the ring lost replication")
+	}
+	for i := range nodes {
+		if i != survivor && i != victim {
+			other = i
+		}
+	}
+	name := names[pick]
+	compileOn(t, nodes[survivor], name, specSets[pick], wantBytes[pick])
+	if b, err := nodes[victim].cl.ImageRaw(ctx, name); err != nil || !bytes.Equal(b, wantBytes[pick]) {
+		t.Fatalf("second owner does not hold the first binding (err %v)", err)
+	}
+
+	self := nodes[victim].url
+	peers := []string{nodes[0].url, nodes[1].url, nodes[2].url}
+	nodes[victim].kill()
+	resp, err := nodes[survivor].cl.CompileBatch(ctx, client.BatchRequest{
+		Image:        name,
+		Pulses:       specSets[(pick+1)%len(specSets)],
+		IncludeImage: true,
+	})
+	if err != nil {
+		t.Fatalf("rebind %q: %v", name, err)
+	}
+	rebound, err := base64.StdEncoding.DecodeString(resp.ImageB64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(rebound, wantBytes[pick]) {
+		t.Fatal("the rebind compiled the old bytes; the test needs a different image")
+	}
+
+	ln, err := net.Listen("tcp", self[len("http://"):])
+	if err != nil {
+		t.Fatalf("re-binding %s: %v", self, err)
+	}
+	restarted := startClusterNode(t, ln, self, peers, 2, victim, withStores)
+	nodes[survivor].srv.cluster.Probe(ctx)
+	nodes[survivor].srv.cluster.FlushHints(ctx)
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		if st := nodes[survivor].srv.cluster.Counters(); st.HintsPending == 0 && st.HintsReplayed > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			st := nodes[survivor].srv.cluster.Counters()
+			t.Fatalf("hint never replayed: pending=%d replayed=%d", st.HintsPending, st.HintsReplayed)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	if n := nodes[survivor].srv.RepairOnce(ctx); n != 0 {
+		t.Errorf("surviving owner repaired %d images, want 0 (it holds the newest binding)", n)
+	}
+	restarted.srv.RepairOnce(ctx)
+	nodes[other].srv.RepairOnce(ctx)
+	for _, n := range []*clusterNode{nodes[survivor], restarted, nodes[other]} {
+		b, err := n.cl.ImageRaw(ctx, name)
+		if err != nil {
+			t.Fatalf("GET %q from %s: %v", name, n.url, err)
+		}
+		if !bytes.Equal(b, rebound) {
+			t.Errorf("%s serves the old binding of %q after repair, want the rebind", n.url, name)
+		}
 	}
 }
 

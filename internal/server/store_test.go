@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -365,27 +363,5 @@ func TestImagePutCommitsMemoryAsBytesArrive(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 		t.Fatalf("PUT declaring %d bytes and sending 1 allocated %d bytes, want under 1 MiB", r.ContentLength, got)
-	}
-}
-
-// TestReadDeclared pins the PUT body reader: an honest body of any size
-// comes back whole in a buffer of exactly its length, and a short one
-// fails as io.ReadFull would.
-func TestReadDeclared(t *testing.T) {
-	for _, n := range []int{0, 1, putChunk, putChunk + 1, 5*putChunk + 3} {
-		body := bytes.Repeat([]byte{0xa5}, n)
-		got, err := readDeclared(bytes.NewReader(body), int64(n))
-		if err != nil || !bytes.Equal(got, body) || cap(got) != n {
-			t.Fatalf("%d-byte body: %d bytes, cap %d, err %v; want the body in an exact-size buffer", n, len(got), cap(got), err)
-		}
-	}
-	for _, tc := range []struct {
-		sent int
-		want error
-	}{{0, io.EOF}, {1, io.ErrUnexpectedEOF}, {putChunk, io.ErrUnexpectedEOF}, {putChunk + 1, io.ErrUnexpectedEOF}} {
-		_, err := readDeclared(bytes.NewReader(make([]byte, tc.sent)), 2*putChunk)
-		if !errors.Is(err, tc.want) {
-			t.Fatalf("%d of %d declared bytes: err %v, want %v", tc.sent, 2*putChunk, err, tc.want)
-		}
 	}
 }
