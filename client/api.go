@@ -285,11 +285,14 @@ type ClusterStats struct {
 	// Hinted counts replicated publishes deferred to the hint log;
 	// HintsReplayed the hints delivered after their peer healed;
 	// HintsDropped the hints evicted past the log's byte budget;
-	// HintsPending the current queue depth.
-	Hinted        uint64 `json:"hinted"`
-	HintsReplayed uint64 `json:"hints_replayed"`
-	HintsDropped  uint64 `json:"hints_dropped"`
-	HintsPending  int    `json:"hints_pending"`
+	// HintWriteErrors the failed writes of the log's file (the first
+	// one switches the log to memory only: its hints are then lost on
+	// a restart); HintsPending the current queue depth.
+	Hinted          uint64 `json:"hinted"`
+	HintsReplayed   uint64 `json:"hints_replayed"`
+	HintsDropped    uint64 `json:"hints_dropped"`
+	HintWriteErrors uint64 `json:"hint_write_errors"`
+	HintsPending    int    `json:"hints_pending"`
 	// Repairs counts images pulled by the anti-entropy repair loop.
 	Repairs uint64 `json:"repairs"`
 	// GossipRounds counts initiated membership exchanges; Refutations

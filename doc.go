@@ -12,13 +12,12 @@
 //		compaqt.WithWindow(16),
 //		compaqt.WithMSETarget(5e-6),
 //		compaqt.WithParallelism(runtime.NumCPU()),
-//		compaqt.WithCache(4096),                // content-addressed compile cache
-//		compaqt.WithStore("/var/lib/compaqt", 1<<30), // persistent image store
+//		compaqt.WithCache(4096), // content-addressed compile cache
 //	)
 //	img, err := svc.Compile(ctx, qctrl.Guadalupe())
 //	img, err = svc.CompileBatch(ctx, m.Name, pulses) // dedup within the batch
 //	st := svc.CacheStats()                      // hits, misses, bytes saved
-//	n, err := svc.CompileTo(ctx, m, file)       // serialize the image
+//	n, err := svc.CompileTo(ctx, m, file)       // persist the image to a file
 //	img, err = svc.OpenImage(file)              // ... and load it back
 //	wave, stats, err := svc.Play(ctx, "X_q3")   // hardware-model playback
 //
@@ -35,13 +34,14 @@
 // its /v1/stats endpoint on. See ARCHITECTURE.md for the layer diagram
 // and data flow.
 //
-// WithStore extends the same content identity to disk: every compiled
-// image is written through to a crash-safe content-addressed store
-// (atomic temp+fsync+rename publishes, size-bounded LRU GC), and a
-// Service reopened on the same directory starts warm — previously
-// compiled images serve byte-identically from mmap'd files via
-// Service.Store().Get with zero recompiles. The serving layer exposes
-// it as GET /v1/images/{name} across restarts.
+// A compiled image persists as a file: CompileTo (or Image.WriteTo)
+// writes it, OpenImage (or ReadImage) loads it back byte-identically.
+// Served persistence is the compile server's job: `compaqt-serve
+// -store-dir` writes every named image through to a crash-safe
+// content-addressed store (atomic temp+fsync+rename publishes,
+// size-bounded LRU GC, keyed by the same content identity) and serves
+// it from mmap'd files as GET /v1/images/{name}, warm across restarts
+// with zero recompiles.
 //
 // The public subpackages:
 //

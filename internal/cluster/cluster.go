@@ -13,7 +13,7 @@ import (
 )
 
 // Config assembles a Cluster. Membership seeds come from Peers; the
-// rest tunes placement, liveness, hinted handoff and the peer
+// rest tunes replication, liveness, hinted handoff and the peer
 // transport.
 type Config struct {
 	// Self is this node's advertised base URL, the identity other
@@ -30,12 +30,6 @@ type Config struct {
 	// exceed the current member count: lookups clamp per call, so a
 	// cluster that grows by gossip grows into its factor.
 	Replication int
-	// VNodes is the virtual-node count per member; 0 means
-	// DefaultVNodes (64).
-	VNodes int
-	// Seed perturbs vnode placement, decorrelating clusters that share
-	// member URLs. Every member must agree on it.
-	Seed uint64
 	// ProbeInterval paces the background /healthz sweep, one of the
 	// suspicion inputs; 0 means 1s, negative disables the loop (the
 	// owner then calls Probe explicitly — the test harness does).
@@ -47,11 +41,9 @@ type Config struct {
 	// declared dead; 0 means 5s.
 	SuspectTimeout time.Duration
 	// HintPath is the on-disk hint log for failed replicated publishes
-	// (hinted handoff); "" keeps hints in memory only.
+	// (hinted handoff); "" keeps hints in memory only, as does the
+	// first failed write of the file (Stats.HintWriteErrors).
 	HintPath string
-	// MaxHintBytes bounds the hint log; 0 means 16 MiB. Past it the
-	// oldest hints are dropped (anti-entropy repair is the backstop).
-	MaxHintBytes int64
 	// Transport substitutes the HTTP transport under every peer client
 	// (fault injection, custom dialers); nil means the default.
 	Transport http.RoundTripper
@@ -85,6 +77,9 @@ type Stats struct {
 	HintsReplayed uint64
 	// HintsDropped counts hints evicted past the log's byte budget.
 	HintsDropped uint64
+	// HintWriteErrors counts failed writes of the hint log's file; the
+	// first one switches the log to memory only.
+	HintWriteErrors uint64
 	// HintsPending is the current hint-queue depth.
 	HintsPending int
 	// Repairs counts images pulled by the anti-entropy repair loop.
@@ -160,7 +155,7 @@ func New(cfg Config) (*Cluster, error) {
 		members:        make(map[string]*member),
 		selfInc:        1,
 		suspectTimeout: suspect,
-		hints:          openHintLog(cfg.HintPath, cfg.MaxHintBytes),
+		hints:          openHintLog(cfg.HintPath, 0),
 		stop:           make(chan struct{}),
 	}
 	c.mu.Lock()
@@ -229,7 +224,7 @@ func (c *Cluster) addMemberLocked(url string) *member {
 	for u := range c.members {
 		urls = append(urls, u)
 	}
-	ring, err := NewRing(urls, c.cfg.VNodes, c.cfg.Seed)
+	ring, err := NewRing(urls, DefaultVNodes, 0)
 	if err != nil {
 		delete(c.members, url)
 		return nil
@@ -284,13 +279,19 @@ func (c *Cluster) memberFor(url string) *member {
 	return m
 }
 
-// noteErr records a failed peer attempt. Transport-level failures
-// (never got an HTTP response: resets, refusals, timeouts) feed
-// suspicion so subsequent lookups skip the member immediately — probes
-// and gossip heal it. An *APIError means the peer is up and answering;
-// its content (404, 429) is the caller's business, not a liveness
-// signal.
-func (c *Cluster) noteErr(m *member, err error) {
+// noteErr records a failed peer attempt made on the caller's ctx.
+// Transport-level failures (never got an HTTP response: resets,
+// refusals, timeouts) feed suspicion so subsequent lookups skip the
+// member immediately — probes and gossip heal it. An *APIError means
+// the peer is up and answering; its content (404, 429) is the caller's
+// business, not a liveness signal. Neither is a failure that ends after
+// ctx is done: that is the caller giving up (a client that hung up on a
+// forwarded GET, a shutdown), which says nothing about the peer, so it
+// changes no counter and no liveness.
+func (c *Cluster) noteErr(ctx context.Context, m *member, err error) {
+	if ctx.Err() != nil {
+		return
+	}
 	c.cmu.Lock()
 	c.st.PeerErrors++
 	c.cmu.Unlock()
@@ -365,7 +366,7 @@ func (c *Cluster) FetchImage(ctx context.Context, name string) ([]byte, string, 
 		if err == nil {
 			return b, u, nil
 		}
-		c.noteErr(m, err)
+		c.noteErr(ctx, m, err)
 		lastErr = err
 		if ctx.Err() != nil {
 			break
@@ -387,7 +388,7 @@ func (c *Cluster) FetchImageFrom(ctx context.Context, peer, name string) ([]byte
 	}
 	b, err := m.cl.ImageRaw(ctx, name)
 	if err != nil {
-		c.noteErr(m, err)
+		c.noteErr(ctx, m, err)
 		return nil, err
 	}
 	return b, nil
@@ -401,7 +402,7 @@ func (c *Cluster) PeerDigests(ctx context.Context, peer string) ([]client.ImageD
 	}
 	resp, err := m.cl.Digests(ctx)
 	if err != nil {
-		c.noteErr(m, err)
+		c.noteErr(ctx, m, err)
 		return nil, err
 	}
 	return resp.Images, nil
@@ -427,7 +428,7 @@ func (c *Cluster) PublishImage(ctx context.Context, name string, wire []byte) in
 			continue
 		}
 		if err := m.cl.PutImageRaw(ctx, name, wire); err != nil {
-			c.noteErr(m, err)
+			c.noteErr(ctx, m, err)
 			if hintable(err) {
 				c.hintFor(u, name, wire)
 			}
@@ -471,6 +472,7 @@ func (c *Cluster) Counters() Stats {
 	st := c.st
 	c.cmu.Unlock()
 	st.HintsPending, _ = c.hints.pending()
+	st.HintWriteErrors = c.hints.failedWrites()
 	c.mu.RLock()
 	st.Members = len(c.members)
 	for u, m := range c.members {
@@ -620,10 +622,10 @@ func (c *Cluster) deliverHints(ctx context.Context, m *member, hs []hint) int {
 		err := m.cl.PutImageRaw(hctx, h.name, h.wire)
 		cancel()
 		if err != nil {
-			c.noteErr(m, err)
+			c.noteErr(ctx, m, err)
 			break
 		}
-		c.hints.remove(m.url, h.name)
+		c.hints.remove(h)
 		c.cmu.Lock()
 		c.st.HintsReplayed++
 		c.cmu.Unlock()

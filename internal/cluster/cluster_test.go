@@ -3,6 +3,8 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -227,5 +229,76 @@ func TestViewReportsMembership(t *testing.T) {
 	}
 	if total < 0.999 || total > 1.001 {
 		t.Fatalf("View shares sum to %v, want 1", total)
+	}
+}
+
+// TestCallerCancelLeavesPeerAlive cancels each peer call while a live
+// peer holds the request: the caller gave up, the peer did not fail, so
+// it stays alive and peer_errors stays 0. The canceled publish did not
+// land, so it is hinted all the same.
+func TestCallerCancelLeavesPeerAlive(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	p := &fakePeer{hs: httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// The server notices the client hanging up only once the
+		// request body has been read.
+		io.Copy(io.Discard, r.Body)
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-r.Context().Done()
+	}))}
+	t.Cleanup(p.hs.Close)
+	c := newTestCluster(t, p)
+
+	// midRequest runs op on a context canceled once the peer holds
+	// op's request.
+	midRequest := func(op func(ctx context.Context) error) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		go func() {
+			select {
+			case <-entered:
+				cancel()
+			case <-ctx.Done():
+			}
+		}()
+		if err := op(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled call returned %v, want context.Canceled", err)
+		}
+	}
+	for _, call := range []struct {
+		name string
+		op   func(ctx context.Context) error
+	}{
+		{"FetchImage", func(ctx context.Context) error {
+			_, _, err := c.FetchImage(ctx, "img")
+			return err
+		}},
+		{"FetchImageFrom", func(ctx context.Context) error {
+			_, err := c.FetchImageFrom(ctx, p.hs.URL, "img")
+			return err
+		}},
+		{"PeerDigests", func(ctx context.Context) error {
+			_, err := c.PeerDigests(ctx, p.hs.URL)
+			return err
+		}},
+		{"PublishImage", func(ctx context.Context) error {
+			if n := c.PublishImage(ctx, "img", []byte("wire")); n != 0 {
+				t.Fatalf("canceled publish landed on %d peers", n)
+			}
+			return ctx.Err()
+		}},
+	} {
+		midRequest(call.op)
+		if !c.alive(p.hs.URL) {
+			t.Fatalf("%s canceled by its caller marked the live peer suspect", call.name)
+		}
+		if st := c.Counters(); st.PeerErrors != 0 {
+			t.Fatalf("%s canceled by its caller counted %d peer errors, want 0", call.name, st.PeerErrors)
+		}
+	}
+	if st := c.Counters(); st.Hinted != 1 || st.HintsPending != 1 {
+		t.Fatalf("canceled publish: hinted=%d pending=%d, want 1, 1", st.Hinted, st.HintsPending)
 	}
 }

@@ -257,7 +257,9 @@ func (c *Cluster) GossipOnce(ctx context.Context) (string, error) {
 	c.st.GossipRounds++
 	c.cmu.Unlock()
 	if err != nil {
-		c.noteErr(m, err)
+		// ctx is gossipLoop's bound on one round, so a peer that runs
+		// it out has failed the round: record it as such.
+		c.noteErr(context.Background(), m, err)
 		return target, err
 	}
 	c.mergeTable(resp.Members)

@@ -3,8 +3,11 @@ package cluster
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"io"
+	"io/fs"
+	"log"
 	"os"
 	"path/filepath"
 	"sync"
@@ -17,7 +20,7 @@ import (
 // manifest's framing idiom: a magic header, then CRC-prefixed records,
 // so a torn tail (the crash case) truncates cleanly at the last whole
 // record and hostile bytes can at worst drop hints, never crash the
-// open. Hints are bounded by MaxHintBytes; beyond it the oldest are
+// open. Hints are bounded to 16 MiB; beyond it the oldest are
 // dropped (and counted) — the anti-entropy repair loop is the backstop
 // for anything the log could not hold.
 //
@@ -39,8 +42,8 @@ const (
 	// are left to anti-entropy repair rather than doubling a big publish
 	// on disk.
 	maxHintRecordBytes = 64 << 20
-	// defaultMaxHintBytes bounds the whole log when the config leaves
-	// MaxHintBytes zero.
+	// defaultMaxHintBytes bounds the whole log; openHintLog selects it
+	// for maxBytes <= 0, which is what a Cluster passes.
 	defaultMaxHintBytes = 16 << 20
 )
 
@@ -49,6 +52,10 @@ type hint struct {
 	peer string
 	name string
 	wire []byte
+	// seq tells apart successive versions of the (peer, name) hint:
+	// add gives a replacement a fresh one, so delivering an older
+	// version never removes the newer one queued meanwhile.
+	seq uint64
 }
 
 // hintLog is the bounded hint store: an in-memory queue mirrored to an
@@ -61,6 +68,10 @@ type hintLog struct {
 	bytes    int64
 	maxBytes int64
 	dropped  uint64
+	// seq numbers hint versions, unique within the log (hint.seq).
+	seq uint64
+	// writeErrors counts failed rewrites of the file at path.
+	writeErrors uint64
 }
 
 // openHintLog loads (or creates) the log at path, replaying whatever
@@ -75,14 +86,13 @@ func openHintLog(path string, maxBytes int64) *hintLog {
 		return l
 	}
 	l.hints = scanHints(path)
-	for _, h := range l.hints {
-		l.bytes += int64(len(h.wire))
+	for i := range l.hints {
+		l.seq++
+		l.hints[i].seq = l.seq
+		l.bytes += int64(len(l.hints[i].wire))
 	}
-	// Rewrite compactly (drops any torn tail). Failures degrade to
-	// memory-only.
-	if err := l.rewriteLocked(); err != nil {
-		l.path = ""
-	}
+	// Rewrite compactly (drops any torn tail).
+	l.syncLocked()
 	return l
 }
 
@@ -169,17 +179,19 @@ func (l *hintLog) add(peer, name string, wire []byte) (dropped uint64) {
 	w := append([]byte(nil), wire...) // callers reuse their buffers
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.seq++
 	replaced := false
 	for i := range l.hints {
 		if l.hints[i].peer == peer && l.hints[i].name == name {
 			l.bytes += int64(len(w)) - int64(len(l.hints[i].wire))
 			l.hints[i].wire = w
+			l.hints[i].seq = l.seq
 			replaced = true
 			break
 		}
 	}
 	if !replaced {
-		l.hints = append(l.hints, hint{peer: peer, name: name, wire: w})
+		l.hints = append(l.hints, hint{peer: peer, name: name, wire: w, seq: l.seq})
 		l.bytes += int64(len(w))
 	}
 	for len(l.hints) > 1 && l.bytes > l.maxBytes {
@@ -188,7 +200,7 @@ func (l *hintLog) add(peer, name string, wire []byte) (dropped uint64) {
 		l.dropped++
 		dropped++
 	}
-	l.rewriteLocked()
+	l.syncLocked()
 	return dropped
 }
 
@@ -205,15 +217,17 @@ func (l *hintLog) take(peer string) []hint {
 	return out
 }
 
-// remove deletes one delivered hint and compacts the log.
-func (l *hintLog) remove(peer, name string) {
+// remove deletes one delivered hint, as take returned it, and compacts
+// the log. A hint replaced since take (a newer publish of the same
+// name to the same peer) stays queued.
+func (l *hintLog) remove(h hint) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for i := range l.hints {
-		if l.hints[i].peer == peer && l.hints[i].name == name {
+		if l.hints[i].seq == h.seq {
 			l.bytes -= int64(len(l.hints[i].wire))
 			l.hints = append(l.hints[:i], l.hints[i+1:]...)
-			l.rewriteLocked()
+			l.syncLocked()
 			return
 		}
 	}
@@ -226,10 +240,38 @@ func (l *hintLog) pending() (n int, bytes int64) {
 	return len(l.hints), l.bytes
 }
 
+// failedWrites reports how many rewrites of the file failed.
+func (l *hintLog) failedWrites() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.writeErrors
+}
+
+// syncLocked mirrors the queue to the file. A failed rewrite leaves
+// the file out of step with memory, and a restart would replay the
+// file: hints already delivered included, which can overwrite a newer
+// binding on their peer. So a failure is counted and logged, the
+// stale file is removed if it can be, and the log keeps its hints in
+// memory only from then on (so it fails, and logs, at most once).
+// Callers hold l.mu.
+func (l *hintLog) syncLocked() {
+	err := l.rewriteLocked()
+	if err == nil {
+		return
+	}
+	l.writeErrors++
+	stale := "removed the stale file"
+	if rerr := os.Remove(l.path); rerr != nil && !errors.Is(rerr, fs.ErrNotExist) {
+		stale = "could not remove the stale file: " + rerr.Error()
+	}
+	log.Printf("cluster: hint log %s: %v; keeping hints in memory only (%s)", l.path, err, stale)
+	l.path = ""
+}
+
 // rewriteLocked atomically replaces the on-disk log with the current
 // queue: temp file in the same directory, fsync, rename — the
 // manifest-compaction idiom. The queue is small by construction
-// (MaxHintBytes), so rewriting per mutation keeps the file exactly in
+// (defaultMaxHintBytes), so rewriting per mutation keeps the file exactly in
 // step with memory without a separate compaction trigger. Callers hold
 // l.mu. Memory-only logs are a no-op.
 func (l *hintLog) rewriteLocked() error {

@@ -1,10 +1,19 @@
 // Hint-log unit tests: durable round-trips, the torn-tail crash case,
-// latest-wins replacement, the byte budget, and the memory-only mode.
+// latest-wins replacement (also across a delivery in flight), the byte
+// budget, and the memory-only mode, including the switch to it when the
+// file cannot be written.
 package cluster
 
 import (
+	"context"
+	"errors"
+	"io"
+	"io/fs"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -27,7 +36,7 @@ func TestHintLogRoundTrip(t *testing.T) {
 	}
 
 	// remove persists too.
-	l2.remove("http://a:1", "img-1")
+	l2.remove(hs[0])
 	l3 := openHintLog(path, 0)
 	if n, _ := l3.pending(); n != 2 {
 		t.Fatalf("log after remove reopens with %d hints, want 2", n)
@@ -117,5 +126,117 @@ func TestHintLogGarbageFileDegradesGracefully(t *testing.T) {
 	l2 := openHintLog(path, 0)
 	if n, _ := l2.pending(); n != 1 {
 		t.Fatalf("log after garbage recovery reopened with %d hints, want 1", n)
+	}
+}
+
+// TestHintDeliveryKeepsNewerHint replaces a hint while its older
+// version is being delivered: the delivery must remove only what it
+// sent, so the newer bytes stay queued and are delivered next.
+func TestHintDeliveryKeepsNewerHint(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	var mu sync.Mutex
+	var puts []string
+	mux := http.NewServeMux()
+	mux.HandleFunc("PUT /v1/images/{name}", func(w http.ResponseWriter, r *http.Request) {
+		b, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		puts = append(puts, string(b))
+		mu.Unlock()
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-release
+		w.WriteHeader(http.StatusNoContent)
+	})
+	p := &fakePeer{hs: httptest.NewServer(mux)}
+	t.Cleanup(p.hs.Close)
+	c := newTestCluster(t, p)
+	ctx := context.Background()
+
+	setPeerState(c, p.hs.URL, StateSuspect)
+	c.PublishImage(ctx, "img", []byte("v1"))
+	setPeerState(c, p.hs.URL, StateAlive)
+	done := make(chan int)
+	go func() { done <- c.FlushHints(ctx) }()
+	<-entered // v1 is on the wire
+
+	// The peer drops out again and v2 is published to it: v2 replaces
+	// v1 in the queue.
+	setPeerState(c, p.hs.URL, StateSuspect)
+	c.PublishImage(ctx, "img", []byte("v2"))
+	close(release)
+	if n := <-done; n != 1 {
+		t.Fatalf("FlushHints delivered %d hints, want 1 (v1)", n)
+	}
+	if st := c.Counters(); st.HintsPending != 1 {
+		t.Fatalf("hints pending = %d after v1 was delivered, want 1 (v2)", st.HintsPending)
+	}
+
+	setPeerState(c, p.hs.URL, StateAlive)
+	if n := c.FlushHints(ctx); n != 1 {
+		t.Fatalf("second FlushHints delivered %d hints, want 1", n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(puts) != 2 || puts[0] != "v1" || puts[1] != "v2" {
+		t.Fatalf("peer received %q, want v1 then v2", puts)
+	}
+}
+
+// TestHintLogWriteFailureGoesMemoryOnly makes the log's rewrite fail
+// (a directory at its path defeats the rename even for root): the
+// failure is counted, the stale path is removed so a restart cannot
+// replay it, and the hints keep working from memory.
+func TestHintLogWriteFailureGoesMemoryOnly(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "HINTS")
+	p := newFakePeer(t, nil)
+	c, err := New(Config{
+		Self:           "http://self.invalid:1",
+		Peers:          []string{p.hs.URL},
+		Replication:    2,
+		ProbeInterval:  -1,
+		GossipInterval: -1,
+		HintPath:       path,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	ctx := context.Background()
+
+	setPeerState(c, p.hs.URL, StateSuspect)
+	c.PublishImage(ctx, "img-1", []byte("wire-1"))
+	if st := c.Counters(); st.HintWriteErrors != 0 || st.HintsPending != 1 {
+		t.Fatalf("writable log: write errors=%d pending=%d, want 0, 1", st.HintWriteErrors, st.HintsPending)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	c.PublishImage(ctx, "img-2", []byte("wire-2"))
+	if st := c.Counters(); st.HintWriteErrors != 1 || st.HintsPending != 2 {
+		t.Fatalf("failed rewrite: write errors=%d pending=%d, want 1, 2", st.HintWriteErrors, st.HintsPending)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("stale log path still there after the failed rewrite (stat: %v)", err)
+	}
+
+	// Memory only from here: no further write is tried, so none fails,
+	// and a restart finds nothing to replay.
+	c.PublishImage(ctx, "img-3", []byte("wire-3"))
+	if st := c.Counters(); st.HintWriteErrors != 1 || st.HintsPending != 3 {
+		t.Fatalf("memory-only log: write errors=%d pending=%d, want 1, 3", st.HintWriteErrors, st.HintsPending)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("memory-only log wrote %s (stat: %v)", path, err)
+	}
+	setPeerState(c, p.hs.URL, StateAlive)
+	if n := c.FlushHints(ctx); n != 3 || p.puts.Load() != 3 {
+		t.Fatalf("FlushHints delivered %d hints (peer saw %d PUTs), want 3", n, p.puts.Load())
 	}
 }

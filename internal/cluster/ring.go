@@ -30,7 +30,7 @@ import (
 )
 
 // Ring is an immutable consistent-hash ring over a fixed member list.
-// Each member is placed at VNodes seeded pseudo-random points on the
+// Each member is placed at vnodes seeded pseudo-random points on the
 // 64-bit circle; a key belongs to the first point at or clockwise of
 // its own position. Lookups take an optional liveness predicate so a
 // down member's arcs fall through to its successors without rebuilding
@@ -48,9 +48,11 @@ type point struct {
 	member int32
 }
 
-// DefaultVNodes is the virtual-node count per member when a Config
-// leaves it zero: enough that three members balance within a few
-// percent, cheap enough that placement stays microseconds.
+// DefaultVNodes is the virtual-node count per member of every
+// Cluster's ring (which always uses seed 0, so members agree on
+// placement with nothing to configure): enough that three members
+// balance within a few percent, cheap enough that placement stays
+// microseconds. NewRing also selects it for vnodes <= 0.
 const DefaultVNodes = 64
 
 // NewRing builds a ring over members (deduplicated, order-independent:

@@ -263,20 +263,21 @@ func (s *Server) handleStatsCluster(w http.ResponseWriter, r *http.Request) {
 func (s *Server) clusterStats() *client.ClusterStats {
 	st := s.cluster.Counters()
 	return &client.ClusterStats{
-		Self:          s.cluster.Self(),
-		Replication:   s.cluster.Replication(),
-		Members:       st.Members,
-		Live:          st.Live,
-		Forwarded:     st.Forwarded,
-		PeerFills:     st.PeerFills,
-		PeerErrors:    st.PeerErrors,
-		Hinted:        st.Hinted,
-		HintsReplayed: st.HintsReplayed,
-		HintsDropped:  st.HintsDropped,
-		HintsPending:  st.HintsPending,
-		Repairs:       st.Repairs,
-		GossipRounds:  st.GossipRounds,
-		Refutations:   st.Refutations,
+		Self:            s.cluster.Self(),
+		Replication:     s.cluster.Replication(),
+		Members:         st.Members,
+		Live:            st.Live,
+		Forwarded:       st.Forwarded,
+		PeerFills:       st.PeerFills,
+		PeerErrors:      st.PeerErrors,
+		Hinted:          st.Hinted,
+		HintsReplayed:   st.HintsReplayed,
+		HintsDropped:    st.HintsDropped,
+		HintWriteErrors: st.HintWriteErrors,
+		HintsPending:    st.HintsPending,
+		Repairs:         st.Repairs,
+		GossipRounds:    st.GossipRounds,
+		Refutations:     st.Refutations,
 	}
 }
 

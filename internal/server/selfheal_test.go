@@ -2,8 +2,9 @@
 // -join flag's path) growing a cluster from one seed, anti-entropy
 // repair streaming a joining node's shard and restoring a publish a
 // restarted replica missed, hinted handoff replaying a missed publish
-// (and a rebind repair alone would roll back) after a restart, and the
-// scope=cluster stats fan-out.
+// (and a rebind repair alone would roll back) after a restart, a hint
+// log that is durable from a node's first start, and the scope=cluster
+// stats fan-out.
 // Gossip, probing and repair are all driven explicitly so every
 // convergence step is one the test caused.
 package server
@@ -15,6 +16,7 @@ import (
 	"errors"
 	"net"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -555,5 +557,51 @@ func TestStatsScopeCluster(t *testing.T) {
 		if p.URL == nodes[2].url && p.Error == "" {
 			t.Fatal("dead member's slot carries no error")
 		}
+	}
+}
+
+// TestClusterHintLogDurableFromFirstStart lays a node out as
+// compaqt-serve does, with the hint log at <store-dir>/HINTS, on a
+// store directory that does not exist yet. The log must be on disk
+// from the first start: a hint queued then survives a restart.
+func TestClusterHintLogDurableFromFirstStart(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	down := "http://" + ln.Addr().String()
+	ln.Close() // the peer refuses every connection
+	dir := filepath.Join(t.TempDir(), "store")
+	cfg := Config{
+		Parallelism:    1,
+		StoreDir:       dir,
+		RepairInterval: -1,
+		Cluster: cluster.Config{
+			Self:           "http://self.invalid:1",
+			Peers:          []string{down},
+			Replication:    2,
+			ProbeInterval:  -1,
+			GossipInterval: -1,
+			HintPath:       filepath.Join(dir, "HINTS"),
+		},
+	}
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	srv.Cluster().PublishImage(context.Background(), "img", []byte("wire"))
+	if st := srv.Cluster().Counters(); st.HintsPending != 1 || st.HintWriteErrors != 0 {
+		t.Fatalf("first start: hints pending=%d write errors=%d, want 1, 0", st.HintsPending, st.HintWriteErrors)
+	}
+	srv.Close()
+
+	srv2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv2.Close() })
+	if st := srv2.Cluster().Counters(); st.HintsPending != 1 {
+		t.Fatalf("restart found %d hints on disk, want 1", st.HintsPending)
 	}
 }

@@ -96,7 +96,7 @@ type Config struct {
 	// reports its activity.
 	StoreDir string
 	// StoreMaxBytes bounds the persistent store; 0 means
-	// compaqt.DefaultStoreMaxBytes.
+	// store.DefaultMaxBytes.
 	StoreMaxBytes int64
 	// Cluster, when enabled (Self + Peers), joins this server to a
 	// digest-sharded serving tier: image GETs it cannot answer locally
@@ -344,20 +344,22 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.svc = svc
 
-	if cfg.Cluster.Enabled() {
-		cl, err := cluster.New(cfg.Cluster)
+	// The store opens first: it creates its directory, where
+	// compaqt-serve keeps the cluster's hint log.
+	if cfg.StoreDir != "" {
+		st, err := store.Open(cfg.StoreDir, cfg.StoreMaxBytes)
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
-		s.cluster = cl
+		s.store = st
 	}
-	if cfg.StoreDir != "" {
-		st, err := store.Open(cfg.StoreDir, cfg.StoreMaxBytes)
+	if cfg.Cluster.Enabled() {
+		cl, err := cluster.New(cfg.Cluster)
 		if err != nil {
 			s.Close()
 			return nil, fmt.Errorf("server: %w", err)
 		}
-		s.store = st
+		s.cluster = cl
 	}
 
 	mux := http.NewServeMux()

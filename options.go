@@ -3,7 +3,6 @@ package compaqt
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"compaqt/codec"
 )
@@ -24,14 +23,6 @@ type config struct {
 	// observer, when non-nil, receives one CompileEvent per compile
 	// call (WithObserver).
 	observer Observer
-	// storeDir, when non-empty, enables the persistent image store
-	// rooted there; storeMaxBytes bounds it (0 selects
-	// DefaultStoreMaxBytes).
-	storeDir      string
-	storeMaxBytes int64
-	// storeProbeEvery, when nonzero, overrides the degraded store's
-	// re-probe cadence (WithStoreProbeInterval).
-	storeProbeEvery time.Duration
 }
 
 func defaultConfig() config {
@@ -158,69 +149,6 @@ func WithCache(n int) Option {
 			n = DefaultCacheSize
 		}
 		c.cacheSize = n
-		return nil
-	}
-}
-
-// WithCacheDisabled turns the compile cache off, undoing an earlier
-// WithCache. (Off is also the default; the option exists so callers
-// assembling option lists programmatically can state it explicitly.)
-func WithCacheDisabled() Option {
-	return func(c *config) error {
-		c.cacheSize = 0
-		return nil
-	}
-}
-
-// DefaultStoreMaxBytes is the persistent image store's byte budget
-// when WithStore is given 0: 1 GiB of serialized images.
-const DefaultStoreMaxBytes = 1 << 30
-
-// WithStore enables the persistent content-addressed image store
-// rooted at dir, bounded to about maxBytes of serialized images on
-// disk (0 selects DefaultStoreMaxBytes). Every successful Compile,
-// CompilePulses and CompileBatch writes its image through to the
-// store — atomically and durably, keyed by content digest — and a
-// Service reopened on the same directory starts warm: previously
-// compiled images are served back byte-identically (see
-// Service.Store) with zero recompiles. The directory is created if
-// needed and guarded against concurrent use by a second store.
-func WithStore(dir string, maxBytes int64) Option {
-	return func(c *config) error {
-		if dir == "" {
-			return fmt.Errorf("compaqt: store directory must not be empty")
-		}
-		if maxBytes < 0 {
-			return fmt.Errorf("compaqt: store size %d must not be negative", maxBytes)
-		}
-		c.storeDir = dir
-		c.storeMaxBytes = maxBytes
-		return nil
-	}
-}
-
-// WithStoreProbeInterval sets how often a degraded persistent store
-// re-probes its write path (default 1s). A store degrades — it keeps
-// serving reads but fails new publishes softly — when the disk errors;
-// the re-probe loop heals it automatically once writes succeed again,
-// with no restart. Shorter intervals recover faster at the cost of
-// more probe IO while degraded.
-func WithStoreProbeInterval(d time.Duration) Option {
-	return func(c *config) error {
-		if d <= 0 {
-			return fmt.Errorf("compaqt: store probe interval %v must be positive", d)
-		}
-		c.storeProbeEvery = d
-		return nil
-	}
-}
-
-// WithStoreDisabled turns the persistent image store off, undoing an
-// earlier WithStore. (Off is also the default.)
-func WithStoreDisabled() Option {
-	return func(c *config) error {
-		c.storeDir = ""
-		c.storeMaxBytes = 0
 		return nil
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"compaqt/codec"
 	"compaqt/internal/cache"
 	"compaqt/internal/core"
-	"compaqt/internal/store"
 	"compaqt/qctrl"
 	"compaqt/waveform"
 )
@@ -60,12 +59,6 @@ type Service struct {
 	// params); it is folded into every content digest.
 	fingerprint string
 
-	// store, when non-nil, is the persistent content-addressed image
-	// store (WithStore): every successful compile writes its serialized
-	// image through, and the directory warm-restarts into the next
-	// Service opened on it.
-	store *store.Store
-
 	// jobs feeds the persistent worker pool (see pool); poolOnce
 	// starts the workers on first parallel compile.
 	poolOnce sync.Once
@@ -103,19 +96,6 @@ func New(opts ...Option) (*Service, error) {
 	if cfg.cacheSize > 0 {
 		s.cache = cache.NewLRU(cfg.cacheSize)
 	}
-	if cfg.storeDir != "" {
-		st, err := store.Open(cfg.storeDir, cfg.storeMaxBytes)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.storeProbeEvery > 0 {
-			st.SetProbeInterval(cfg.storeProbeEvery)
-		}
-		s.store = st
-		// The cleanup must capture only the store — referencing s would
-		// keep the Service reachable forever.
-		runtime.AddCleanup(s, func(st *store.Store) { st.Close() }, st)
-	}
 	return s, nil
 }
 
@@ -133,9 +113,6 @@ func codecFingerprint(c codec.Codec) string {
 // Codec returns the service's configured compression backend.
 func (s *Service) Codec() codec.Codec { return s.cdc }
 
-// Parallelism returns the compile fan-out width.
-func (s *Service) Parallelism() int { return s.cfg.parallelism }
-
 // CacheStats is a snapshot of the compile cache's activity: hits,
 // misses, evictions, resident entries, and the uncompressed bytes whose
 // re-encoding the hits avoided.
@@ -148,41 +125,6 @@ func (s *Service) CacheStats() CacheStats {
 		return CacheStats{}
 	}
 	return s.cache.Stats()
-}
-
-// ImageStore is the persistent content-addressed image store behind
-// WithStore: serialized images on disk, mmap-served, warm across
-// restarts.
-type ImageStore = store.Store
-
-// StoreStats is a snapshot of the persistent image store's activity.
-type StoreStats = store.Stats
-
-// Store returns the service's persistent image store, or nil when
-// WithStore was not configured. The store outlives compile calls: use
-// Store().Get to serve stored wire bytes directly, Store().Close when
-// tearing the Service down deliberately (an abandoned Service's store
-// is closed by a runtime cleanup).
-func (s *Service) Store() *ImageStore { return s.store }
-
-// StoreStats reports persistent-store activity. It returns the zero
-// Stats when the store is disabled (the default — see WithStore).
-func (s *Service) StoreStats() StoreStats {
-	if s.store == nil {
-		return StoreStats{}
-	}
-	return s.store.Stats()
-}
-
-// publishStored writes a compiled image through to the persistent
-// store. Best-effort by design: persistence failures degrade the store
-// (visible via Store().Healthy and the serving layer's health report)
-// without failing the compile that produced the image.
-func (s *Service) publishStored(name string, img *Image) {
-	if s.store == nil || img == nil {
-		return
-	}
-	_ = s.store.PutImage(name, img)
 }
 
 // Compile compresses the machine's full calibrated pulse library into
@@ -211,7 +153,6 @@ func (s *Service) CompilePulses(ctx context.Context, name string, pulses []*qctr
 		return nil, err
 	}
 	s.Use(img)
-	s.publishStored(name, img)
 	return img, nil
 }
 
@@ -363,9 +304,6 @@ func (s *Service) CompileBatch(ctx context.Context, name string, pulses []*qctrl
 		Duration:  time.Since(start),
 		Err:       err,
 	})
-	if err == nil {
-		s.publishStored(name, img)
-	}
 	return img, err
 }
 
