@@ -278,21 +278,11 @@ type ClusterStats struct {
 	Live    int `json:"live"`
 	// Forwarded counts image GETs this node answered from a peer;
 	// PeerFills the remote fetches written through to the local store;
-	// PeerErrors the failed peer attempts (fetch or publish).
+	// PeerErrors the failed peer attempts (fetch or publish) and the
+	// peer answers that were not a valid image.
 	Forwarded  uint64 `json:"forwarded"`
 	PeerFills  uint64 `json:"peer_fills"`
 	PeerErrors uint64 `json:"peer_errors"`
-	// Hinted counts replicated publishes deferred to the hint log;
-	// HintsReplayed the hints delivered after their peer healed;
-	// HintsDropped the hints evicted past the log's byte budget;
-	// HintWriteErrors the failed writes of the log's file (the first
-	// one switches the log to memory only: its hints are then lost on
-	// a restart); HintsPending the current queue depth.
-	Hinted          uint64 `json:"hinted"`
-	HintsReplayed   uint64 `json:"hints_replayed"`
-	HintsDropped    uint64 `json:"hints_dropped"`
-	HintWriteErrors uint64 `json:"hint_write_errors"`
-	HintsPending    int    `json:"hints_pending"`
 	// Repairs counts images pulled by the anti-entropy repair loop.
 	Repairs uint64 `json:"repairs"`
 	// GossipRounds counts initiated membership exchanges; Refutations
@@ -361,11 +351,14 @@ type GossipResponse struct {
 
 // ImageDigest is one row of GET /v1/cluster/digests: an image this
 // node holds (in memory or in its store), with the content digest and
-// wire size a repairing peer validates against.
+// wire size a repairing peer validates against, and the version of the
+// name's binding, by which the repairing peer decides whether it is
+// newer than its own.
 type ImageDigest struct {
-	Name   string `json:"name"`
-	Digest string `json:"digest"`
-	Size   int64  `json:"size"`
+	Name    string `json:"name"`
+	Digest  string `json:"digest"`
+	Size    int64  `json:"size"`
+	Version uint64 `json:"version"`
 }
 
 // DigestsResponse is the body of GET /v1/cluster/digests.

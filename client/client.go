@@ -194,19 +194,35 @@ func (c *Client) CompileBatch(ctx context.Context, req BatchRequest) (*BatchResp
 	return &resp, nil
 }
 
+// VersionHeader carries an image binding's version between cluster
+// nodes: on a PUT it is the version to bind the bytes at, and a node
+// answers a forwarded GET with the version of the binding it served.
+// A PUT without it is a new client write, which the receiving node
+// stamps with a fresh version.
+const VersionHeader = "X-Compaqt-Version"
+
 // ImageRaw streams a stored image's serialized wire-format bytes,
 // retrying like every idempotent call.
 func (c *Client) ImageRaw(ctx context.Context, name string) ([]byte, error) {
+	b, _, err := c.ImageRawVersion(ctx, name)
+	return b, err
+}
+
+// ImageRawVersion is ImageRaw that also returns the served binding's
+// version (VersionHeader): a node sends it to peers only, so it reads
+// 0 for a client that does not mark its requests forwarded.
+func (c *Client) ImageRawVersion(ctx context.Context, name string) ([]byte, uint64, error) {
 	var b []byte
+	var version uint64
 	err := c.withRetry(ctx, func(ctx context.Context) error {
 		var err error
-		b, err = c.imageRawOnce(ctx, name)
+		b, version, err = c.imageRawOnce(ctx, name)
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return b, nil
+	return b, version, nil
 }
 
 // ImageReader streams a stored image's wire bytes without buffering
@@ -248,13 +264,28 @@ func (c *Client) Image(ctx context.Context, name string) (*compaqt.Image, error)
 }
 
 // PutImageRaw publishes serialized wire-format image bytes under name
-// (PUT /v1/images/{name}). The server validates the bytes before
-// storing them, so a corrupted body is rejected, not served.
-// Content addressing makes the call idempotent — re-putting identical
-// bytes is a server-side dedup — which is what lets it retry. This is
-// the cluster replication primitive: a compiling node pushes each
-// image to its digest's ring owner through it.
+// (PUT /v1/images/{name}) as a new write: the server binds them at a
+// version it stamps, newer than any it has accepted. The server
+// validates the bytes before storing them, so a corrupted body is
+// rejected, not served. Retrying is safe: a retry binds the same bytes
+// again, at a newer version.
 func (c *Client) PutImageRaw(ctx context.Context, name string, wire []byte) error {
+	return c.putImage(ctx, name, "", wire)
+}
+
+// PutImageVersion publishes wire under name at a given binding version
+// (VersionHeader): the server binds it only if that binding is newer
+// than the name's current one, and answers success either way, so the
+// call is idempotent and retries. This is the cluster replication
+// primitive: a compiling node pushes each image to its name's replica
+// set through it.
+func (c *Client) PutImageVersion(ctx context.Context, name string, version uint64, wire []byte) error {
+	return c.putImage(ctx, name, strconv.FormatUint(version, 10), wire)
+}
+
+// putImage PUTs wire under name, with version as VersionHeader unless
+// it is empty.
+func (c *Client) putImage(ctx context.Context, name, version string, wire []byte) error {
 	return c.withRetry(ctx, func(ctx context.Context) error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPut,
 			c.base+"/v1/images/"+url.PathEscape(name), bytes.NewReader(wire))
@@ -262,6 +293,9 @@ func (c *Client) PutImageRaw(ctx context.Context, name string, wire []byte) erro
 			return err
 		}
 		req.Header.Set("Content-Type", "application/octet-stream")
+		if version != "" {
+			req.Header.Set(VersionHeader, version)
+		}
 		if c.retry.AttemptTimeout > 0 {
 			req.Header.Set("X-Request-Timeout", c.timeoutHeader)
 		}
@@ -282,7 +316,7 @@ func (c *Client) PutImageRaw(ctx context.Context, name string, wire []byte) erro
 
 // ClusterView fetches the server's ring view (GET /v1/cluster):
 // membership, per-peer health, key-space shares and the forwarding
-// counters. Servers running without a -peers cluster answer 404.
+// counters. Servers running without a cluster (-join) answer 404.
 func (c *Client) ClusterView(ctx context.Context) (*ClusterResponse, error) {
 	var v ClusterResponse
 	err := c.withRetry(ctx, func(ctx context.Context) error {
@@ -341,21 +375,28 @@ func (c *Client) StatsCluster(ctx context.Context) (*ClusterStatsResponse, error
 	return &resp, nil
 }
 
-func (c *Client) imageRawOnce(ctx context.Context, name string) ([]byte, error) {
+func (c *Client) imageRawOnce(ctx context.Context, name string) ([]byte, uint64, error) {
 	res, err := c.do(ctx, http.MethodGet, "/v1/images/"+url.PathEscape(name), nil)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if res.StatusCode != http.StatusOK {
-		return nil, apiError(res)
+		return nil, 0, apiError(res)
+	}
+	var version uint64
+	if v := res.Header.Get(VersionHeader); v != "" {
+		if version, err = strconv.ParseUint(v, 10, 64); err != nil {
+			drainClose(res)
+			return nil, 0, fmt.Errorf("client: invalid %s %q", VersionHeader, v)
+		}
 	}
 	b, err := readBody(res)
 	if err != nil {
 		drainClose(res)
-		return nil, err
+		return nil, 0, err
 	}
 	res.Body.Close()
-	return b, nil
+	return b, version, nil
 }
 
 // readBody reads a response body into a buffer of exactly its declared

@@ -25,10 +25,13 @@
 // shards are forwarded to their owner (and written through to the
 // local store), and each compiled named image is published to its
 // owner plus -replication-1 ring successors. -peers is a deprecated
-// spelling of -join. Membership is gossiped, failed publishes are
-// hinted to <store-dir>/HINTS and replayed when the peer heals, and a
-// background anti-entropy loop (-repair-interval) streams the shard
-// this node owns from current holders.
+// spelling of -join. Membership is gossiped. Every name binding carries
+// a version, stamped by the node a client binds the name on and
+// carried with the bytes, so a binding replaces another only if it is
+// newer. A background anti-entropy loop (-repair-interval) brings
+// every name this node owns or holds a copy of to the newest binding
+// a live peer lists, within one interval while a holder of it is
+// reachable: what a down node missed, and what a rebind superseded.
 package main
 
 import (
@@ -41,7 +44,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"syscall"
@@ -79,7 +81,6 @@ func main() {
 	gossipInterval := flag.Duration("gossip-interval", 0, "membership gossip push-pull interval (0 = 1s, negative = disabled)")
 	suspectTimeout := flag.Duration("suspect-timeout", 0, "how long a suspect member may stay silent before it is declared dead (0 = 5s)")
 	repairInterval := flag.Duration("repair-interval", 0, "anti-entropy shard-repair interval (0 = 5s, negative = disabled)")
-	hintPath := flag.String("hints", "", "hinted-handoff log path (empty = <store-dir>/HINTS when clustered with a store, else memory-only)")
 	flag.Parse()
 
 	if *listCodecs {
@@ -105,10 +106,6 @@ func main() {
 	if len(seeds) > 0 && *self == "" {
 		log.Fatal("compaqt-serve: -join requires -self (this node's advertised URL)")
 	}
-	hints := *hintPath
-	if hints == "" && *storeDir != "" && (*self != "" || len(seeds) > 0) {
-		hints = filepath.Join(*storeDir, "HINTS")
-	}
 
 	srv, err := server.New(server.Config{
 		Codec:          *codecName,
@@ -131,7 +128,6 @@ func main() {
 			ProbeInterval:  *clusterProbe,
 			GossipInterval: *gossipInterval,
 			SuspectTimeout: *suspectTimeout,
-			HintPath:       hints,
 			Transport:      peerTransport(),
 		},
 		RepairInterval: *repairInterval,

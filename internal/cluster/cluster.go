@@ -13,8 +13,7 @@ import (
 )
 
 // Config assembles a Cluster. Membership seeds come from Peers; the
-// rest tunes replication, liveness, hinted handoff and the peer
-// transport.
+// rest tunes replication, liveness and the peer transport.
 type Config struct {
 	// Self is this node's advertised base URL, the identity other
 	// members route to ("http://10.0.0.1:8371").
@@ -40,10 +39,6 @@ type Config struct {
 	// SuspectTimeout is how long a member may stay suspect before it is
 	// declared dead; 0 means 5s.
 	SuspectTimeout time.Duration
-	// HintPath is the on-disk hint log for failed replicated publishes
-	// (hinted handoff); "" keeps hints in memory only, as does the
-	// first failed write of the file (Stats.HintWriteErrors).
-	HintPath string
 	// Transport substitutes the HTTP transport under every peer client
 	// (fault injection, custom dialers); nil means the default.
 	Transport http.RoundTripper
@@ -69,19 +64,9 @@ type Stats struct {
 	Forwarded uint64
 	// PeerFills counts remote fetches written through locally.
 	PeerFills uint64
-	// PeerErrors counts failed peer attempts (fetch or publish).
+	// PeerErrors counts failed peer attempts (fetch or publish) and
+	// peer answers that were not a valid image.
 	PeerErrors uint64
-	// Hinted counts publishes deferred to the hint log.
-	Hinted uint64
-	// HintsReplayed counts hints delivered after the peer healed.
-	HintsReplayed uint64
-	// HintsDropped counts hints evicted past the log's byte budget.
-	HintsDropped uint64
-	// HintWriteErrors counts failed writes of the hint log's file; the
-	// first one switches the log to memory only.
-	HintWriteErrors uint64
-	// HintsPending is the current hint-queue depth.
-	HintsPending int
 	// Repairs counts images pulled by the anti-entropy repair loop.
 	Repairs uint64
 	// GossipRounds counts initiated push-pull exchanges.
@@ -96,8 +81,8 @@ type Stats struct {
 }
 
 // Cluster is one node's view of the serving tier: the member table and
-// ring (grown by gossip), a pooled client per remote member, the hint
-// log, and the counters /v1/stats reports.
+// ring (grown by gossip), a pooled client per remote member, and the
+// counters /v1/stats reports.
 type Cluster struct {
 	cfg  Config
 	self string
@@ -118,8 +103,6 @@ type Cluster struct {
 	// is what makes Counters tear-free.
 	cmu sync.Mutex
 	st  Stats
-
-	hints *hintLog
 
 	suspectTimeout time.Duration
 
@@ -155,7 +138,6 @@ func New(cfg Config) (*Cluster, error) {
 		members:        make(map[string]*member),
 		selfInc:        1,
 		suspectTimeout: suspect,
-		hints:          openHintLog(cfg.HintPath, 0),
 		stop:           make(chan struct{}),
 	}
 	c.mu.Lock()
@@ -305,24 +287,19 @@ func (c *Cluster) noteErr(ctx context.Context, m *member, err error) {
 	c.mu.Unlock()
 }
 
-// hintable reports whether a failed publish should be deferred to the
-// hint log: transport failures and temporary HTTP answers qualify; a
-// permanent 4xx would fail identically on replay.
-func hintable(err error) bool {
-	var apiErr *client.APIError
-	if errors.As(err, &apiErr) {
-		return apiErr.Temporary()
-	}
-	return true
-}
-
-// hintFor queues one deferred publish for peer.
-func (c *Cluster) hintFor(peer, name string, wire []byte) {
-	dropped := c.hints.add(peer, name, wire)
+// NoteInvalidImage records a peer that answered an image fetch with
+// bytes that are not a valid image. It counts as a peer error and
+// shows as the member's last error, but the peer answered, so it is
+// no liveness signal.
+func (c *Cluster) NoteInvalidImage(peer string, err error) {
 	c.cmu.Lock()
-	c.st.Hinted++
-	c.st.HintsDropped += dropped
+	c.st.PeerErrors++
 	c.cmu.Unlock()
+	c.mu.Lock()
+	if m := c.members[peer]; m != nil {
+		m.lastErr = "invalid image: " + err.Error()
+	}
+	c.mu.Unlock()
 }
 
 // Owns reports whether this node is in name's replica set — the
@@ -337,13 +314,13 @@ func (c *Cluster) Owns(name string) bool {
 	return false
 }
 
-// FetchImage retrieves name's wire bytes from its replica set,
-// trying the live owner first and falling through the successors. One
-// extra successor beyond the replication factor is consulted to cover
-// membership churn: a just-healed owner that missed a publish answers
-// 404 and the next member still holds the bytes. Returns the serving
-// peer's URL alongside the bytes.
-func (c *Cluster) FetchImage(ctx context.Context, name string) ([]byte, string, error) {
+// FetchImage retrieves name's wire bytes and binding version from its
+// replica set, trying the live owner first and falling through the
+// successors. One extra successor beyond the replication factor is
+// consulted to cover membership churn: a just-healed owner that missed
+// a publish answers 404 and the next member still holds the bytes.
+// Returns the serving peer's URL alongside the bytes.
+func (c *Cluster) FetchImage(ctx context.Context, name string) (wire []byte, version uint64, from string, err error) {
 	ring, alive := c.snapshot()
 	targets := ring.Successors(KeyFor(name), c.repl+1, alive)
 	var lastErr error
@@ -362,9 +339,9 @@ func (c *Cluster) FetchImage(ctx context.Context, name string) ([]byte, string, 
 			c.st.Forwarded++
 			c.cmu.Unlock()
 		}
-		b, err := m.cl.ImageRaw(ctx, name)
+		b, v, err := m.cl.ImageRawVersion(ctx, name)
 		if err == nil {
-			return b, u, nil
+			return b, v, u, nil
 		}
 		c.noteErr(ctx, m, err)
 		lastErr = err
@@ -373,25 +350,25 @@ func (c *Cluster) FetchImage(ctx context.Context, name string) ([]byte, string, 
 		}
 	}
 	if !tried {
-		return nil, "", ErrNoPeer
+		return nil, 0, "", ErrNoPeer
 	}
-	return nil, "", lastErr
+	return nil, 0, "", lastErr
 }
 
-// FetchImageFrom retrieves name's wire bytes from one specific member —
-// the anti-entropy repair path, which already knows (from the digest
-// listing) who holds what.
-func (c *Cluster) FetchImageFrom(ctx context.Context, peer, name string) ([]byte, error) {
+// FetchImageFrom retrieves name's wire bytes and binding version from
+// one specific member — the anti-entropy repair path, which already
+// knows (from the digest listing) who holds what.
+func (c *Cluster) FetchImageFrom(ctx context.Context, peer, name string) ([]byte, uint64, error) {
 	m := c.memberFor(peer)
 	if m == nil || m.cl == nil {
-		return nil, fmt.Errorf("cluster: unknown peer %s", peer)
+		return nil, 0, fmt.Errorf("cluster: unknown peer %s", peer)
 	}
-	b, err := m.cl.ImageRaw(ctx, name)
+	b, v, err := m.cl.ImageRawVersion(ctx, name)
 	if err != nil {
 		c.noteErr(ctx, m, err)
-		return nil, err
+		return nil, 0, err
 	}
-	return b, nil
+	return b, v, nil
 }
 
 // PeerDigests lists the images one member reports owning.
@@ -408,18 +385,16 @@ func (c *Cluster) PeerDigests(ctx context.Context, peer string) ([]client.ImageD
 	return resp.Images, nil
 }
 
-// PublishImage pushes name's wire bytes to every remote member of its
-// replica set (self, when in the set, already holds them locally).
-// Publishing is best-effort per peer and never fails the compile that
-// triggered it — but a push that cannot land on a canonical replica
-// (the member is down, or answered with a temporary failure) is
-// deferred to the hint log and replayed when the member heals.
-func (c *Cluster) PublishImage(ctx context.Context, name string, wire []byte) int {
+// PublishImage pushes name's wire bytes, bound at version, to every
+// live remote member of its replica set (self, when in the set,
+// already holds them locally). Publishing is best-effort per peer and
+// never fails the compile that triggered it: a replica the push
+// misses catches up by anti-entropy repair, which pulls the newest
+// version any live peer lists.
+func (c *Cluster) PublishImage(ctx context.Context, name string, version uint64, wire []byte) int {
 	ring, alive := c.snapshot()
-	key := KeyFor(name)
 	published := 0
-	landed := make(map[string]bool, c.repl)
-	for _, u := range ring.Successors(key, c.repl, alive) {
+	for _, u := range ring.Successors(KeyFor(name), c.repl, alive) {
 		if u == c.self {
 			continue
 		}
@@ -427,24 +402,11 @@ func (c *Cluster) PublishImage(ctx context.Context, name string, wire []byte) in
 		if m == nil || m.cl == nil {
 			continue
 		}
-		if err := m.cl.PutImageRaw(ctx, name, wire); err != nil {
+		if err := m.cl.PutImageVersion(ctx, name, version, wire); err != nil {
 			c.noteErr(ctx, m, err)
-			if hintable(err) {
-				c.hintFor(u, name, wire)
-			}
 			continue
 		}
-		landed[u] = true
 		published++
-	}
-	// The canonical replica set (liveness ignored) is where the bytes
-	// must eventually live; members skipped above for being down get a
-	// hint instead of nothing.
-	for _, u := range ring.Successors(key, c.repl, nil) {
-		if u == c.self || landed[u] || alive(u) {
-			continue
-		}
-		c.hintFor(u, name, wire)
 	}
 	return published
 }
@@ -471,8 +433,6 @@ func (c *Cluster) Counters() Stats {
 	c.cmu.Lock()
 	st := c.st
 	c.cmu.Unlock()
-	st.HintsPending, _ = c.hints.pending()
-	st.HintWriteErrors = c.hints.failedWrites()
 	c.mu.RLock()
 	st.Members = len(c.members)
 	for u, m := range c.members {
@@ -546,8 +506,7 @@ func (c *Cluster) View() (members []MemberView, replication, vnodes int) {
 }
 
 // Probe health-checks every remote member once — the active suspicion
-// input. A live "ok" marks the member alive (firing hint replay if it
-// was not); anything else — transport failure or a draining 503 —
+// input. A live "ok" marks the member alive; anything else — transport failure or a draining 503 —
 // feeds suspicion (unlike the passive path, an answering peer that
 // reports unhealthy must still leave the ring). Probe results
 // deliberately stay out of the peer_errors counter, which tracks real
@@ -589,77 +548,4 @@ func (c *Cluster) probeLoop(interval time.Duration) {
 			c.Probe(context.Background())
 		}
 	}
-}
-
-// healedLocked fires when a member transitions to alive: any hints
-// queued for it start replaying in the background. Callers hold c.mu.
-func (c *Cluster) healedLocked(m *member) {
-	if m.replaying || m.url == c.self || m.cl == nil {
-		return
-	}
-	hs := c.hints.take(m.url)
-	if len(hs) == 0 {
-		return
-	}
-	m.replaying = true
-	go c.replayHints(m, hs)
-}
-
-func (c *Cluster) replayHints(m *member, hs []hint) {
-	c.deliverHints(context.Background(), m, hs)
-	c.mu.Lock()
-	m.replaying = false
-	c.mu.Unlock()
-}
-
-// deliverHints pushes queued hints to a healed member in order,
-// stopping at the first failure (the member flapped again; the
-// remaining hints stay queued for the next heal).
-func (c *Cluster) deliverHints(ctx context.Context, m *member, hs []hint) int {
-	n := 0
-	for _, h := range hs {
-		hctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-		err := m.cl.PutImageRaw(hctx, h.name, h.wire)
-		cancel()
-		if err != nil {
-			c.noteErr(ctx, m, err)
-			break
-		}
-		c.hints.remove(h)
-		c.cmu.Lock()
-		c.st.HintsReplayed++
-		c.cmu.Unlock()
-		n++
-	}
-	return n
-}
-
-// FlushHints synchronously replays every pending hint whose target is
-// currently alive. The heal path does this in the background;
-// deterministic tests and the repair loop call it directly.
-func (c *Cluster) FlushHints(ctx context.Context) int {
-	type job struct {
-		m  *member
-		hs []hint
-	}
-	c.mu.Lock()
-	var jobs []job
-	for u, m := range c.members {
-		if u == c.self || m.cl == nil || m.state != StateAlive || m.replaying {
-			continue
-		}
-		if hs := c.hints.take(u); len(hs) > 0 {
-			m.replaying = true
-			jobs = append(jobs, job{m, hs})
-		}
-	}
-	c.mu.Unlock()
-	replayed := 0
-	for _, j := range jobs {
-		replayed += c.deliverHints(ctx, j.m, j.hs)
-		c.mu.Lock()
-		j.m.replaying = false
-		c.mu.Unlock()
-	}
-	return replayed
 }

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"compaqt/client"
 )
 
 // fakePeer is a minimal peer: /healthz plus an in-memory image map,
@@ -20,6 +22,8 @@ type fakePeer struct {
 	images    map[string][]byte
 	forwarded atomic.Int64
 	puts      atomic.Int64
+	// putVersion is the version header of the last PUT.
+	putVersion atomic.Value
 }
 
 func newFakePeer(t *testing.T, images map[string][]byte) *fakePeer {
@@ -44,10 +48,12 @@ func newFakePeer(t *testing.T, images map[string][]byte) *fakePeer {
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set(client.VersionHeader, "42")
 		w.Write(b)
 	})
 	mux.HandleFunc("PUT /v1/images/{name}", func(w http.ResponseWriter, r *http.Request) {
 		p.puts.Add(1)
+		p.putVersion.Store(r.Header.Get(client.VersionHeader))
 		w.WriteHeader(http.StatusNoContent)
 	})
 	p.hs = httptest.NewServer(mux)
@@ -101,12 +107,12 @@ func TestFetchImageFromPeer(t *testing.T) {
 	p := newFakePeer(t, map[string][]byte{"img": wire})
 	c := newTestCluster(t, p)
 
-	b, from, err := c.FetchImage(context.Background(), "img")
+	b, version, from, err := c.FetchImage(context.Background(), "img")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(b) != string(wire) || from != p.hs.URL {
-		t.Fatalf("FetchImage = %q from %s, want %q from %s", b, from, wire, p.hs.URL)
+	if string(b) != string(wire) || version != 42 || from != p.hs.URL {
+		t.Fatalf("FetchImage = %q at version %d from %s, want %q at 42 from %s", b, version, from, wire, p.hs.URL)
 	}
 	if got := p.forwarded.Load(); got == 0 {
 		t.Fatal("peer saw no forwarded mark; forwarded GETs could cycle")
@@ -119,7 +125,7 @@ func TestFetchImageFromPeer(t *testing.T) {
 func TestFetchImageMissReturnsAPIError(t *testing.T) {
 	p := newFakePeer(t, nil)
 	c := newTestCluster(t, p)
-	_, _, err := c.FetchImage(context.Background(), "absent")
+	_, _, _, err := c.FetchImage(context.Background(), "absent")
 	if err == nil || !strings.Contains(err.Error(), "404") {
 		t.Fatalf("FetchImage miss = %v, want a 404 API error", err)
 	}
@@ -139,7 +145,7 @@ func TestTransportFailureMarksDownAndProbeHeals(t *testing.T) {
 
 	p.hs.CloseClientConnections()
 	p.hs.Close()
-	_, _, err := c.FetchImage(context.Background(), "img")
+	_, _, _, err := c.FetchImage(context.Background(), "img")
 	if err == nil {
 		t.Fatal("FetchImage from a dead peer succeeded")
 	}
@@ -147,7 +153,7 @@ func TestTransportFailureMarksDownAndProbeHeals(t *testing.T) {
 		t.Fatal("transport failure did not mark the peer down")
 	}
 	// Every member down → nothing to try.
-	if _, _, err := c.FetchImage(context.Background(), "img"); err != ErrNoPeer {
+	if _, _, _, err := c.FetchImage(context.Background(), "img"); err != ErrNoPeer {
 		t.Fatalf("FetchImage with all peers down = %v, want ErrNoPeer", err)
 	}
 
@@ -194,9 +200,12 @@ func firstView(c *Cluster) []MemberView {
 func TestPublishImage(t *testing.T) {
 	p := newFakePeer(t, nil)
 	c := newTestCluster(t, p)
-	n := c.PublishImage(context.Background(), "img", []byte("wire"))
+	n := c.PublishImage(context.Background(), "img", 7, []byte("wire"))
 	if n != 1 || p.puts.Load() != 1 {
 		t.Fatalf("PublishImage = %d (peer saw %d puts), want 1", n, p.puts.Load())
+	}
+	if v := p.putVersion.Load(); v != "7" {
+		t.Fatalf("publish carried version header %q, want \"7\"", v)
 	}
 }
 
@@ -234,8 +243,7 @@ func TestViewReportsMembership(t *testing.T) {
 
 // TestCallerCancelLeavesPeerAlive cancels each peer call while a live
 // peer holds the request: the caller gave up, the peer did not fail, so
-// it stays alive and peer_errors stays 0. The canceled publish did not
-// land, so it is hinted all the same.
+// it stays alive and peer_errors stays 0.
 func TestCallerCancelLeavesPeerAlive(t *testing.T) {
 	entered := make(chan struct{}, 1)
 	p := &fakePeer{hs: httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -272,11 +280,11 @@ func TestCallerCancelLeavesPeerAlive(t *testing.T) {
 		op   func(ctx context.Context) error
 	}{
 		{"FetchImage", func(ctx context.Context) error {
-			_, _, err := c.FetchImage(ctx, "img")
+			_, _, _, err := c.FetchImage(ctx, "img")
 			return err
 		}},
 		{"FetchImageFrom", func(ctx context.Context) error {
-			_, err := c.FetchImageFrom(ctx, p.hs.URL, "img")
+			_, _, err := c.FetchImageFrom(ctx, p.hs.URL, "img")
 			return err
 		}},
 		{"PeerDigests", func(ctx context.Context) error {
@@ -284,7 +292,7 @@ func TestCallerCancelLeavesPeerAlive(t *testing.T) {
 			return err
 		}},
 		{"PublishImage", func(ctx context.Context) error {
-			if n := c.PublishImage(ctx, "img", []byte("wire")); n != 0 {
+			if n := c.PublishImage(ctx, "img", 1, []byte("wire")); n != 0 {
 				t.Fatalf("canceled publish landed on %d peers", n)
 			}
 			return ctx.Err()
@@ -297,8 +305,5 @@ func TestCallerCancelLeavesPeerAlive(t *testing.T) {
 		if st := c.Counters(); st.PeerErrors != 0 {
 			t.Fatalf("%s canceled by its caller counted %d peer errors, want 0", call.name, st.PeerErrors)
 		}
-	}
-	if st := c.Counters(); st.Hinted != 1 || st.HintsPending != 1 {
-		t.Fatalf("canceled publish: hinted=%d pending=%d, want 1, 1", st.Hinted, st.HintsPending)
 	}
 }

@@ -10,19 +10,20 @@ import (
 )
 
 // Membership is SWIM-flavored gossip piggybacked on the HTTP plane:
-// every node keeps a versioned member table — URL, incarnation number,
-// alive/suspect/dead state — and periodically push-pulls it with one
-// peer via POST /v1/cluster/gossip. Joining is one seed URL (-join),
-// not a full -peers list: the first exchange pulls the whole table and
-// the ring grows with each newly-learned member. Suspicion is fed by
-// two local signals (a failed /healthz probe, a transport-level
-// forward failure) and by gossip from other members; only the member
-// itself can refute it, by bumping its own incarnation when it learns
-// it is suspected. A suspect member that stays silent past
-// SuspectTimeout is declared dead. The ring's point set only ever
-// changes on join (a URL never seen before); alive/suspect/dead flips
-// are a liveness predicate over an unchanged ring, so a flap storm
-// re-routes keys without ever rebuilding placement.
+// every node keeps a versioned member table — URL, incarnation
+// number, alive/suspect/dead state — and periodically push-pulls it
+// with one peer via POST /v1/cluster/gossip. Joining takes one seed
+// URL (-join) rather than the full member list: the first exchange
+// pulls the whole table and the ring grows with each newly-learned
+// member. Suspicion is fed by two local signals (a failed /healthz
+// probe, a transport-level forward failure) and by gossip from other
+// members; only the member itself can refute it, by bumping its own
+// incarnation when it learns it is suspected. A suspect member that
+// stays silent past SuspectTimeout is declared dead. The ring's point
+// set only ever changes on join (a URL never seen before);
+// alive/suspect/dead flips are a liveness predicate over an unchanged
+// ring, so a flap storm re-routes keys without ever rebuilding
+// placement.
 
 // State is one member's liveness as this node believes it.
 type State uint8
@@ -74,10 +75,6 @@ type member struct {
 	incarnation  uint64
 	suspectSince time.Time
 	lastErr      string
-
-	// replaying guards against concurrent hint-replay goroutines for
-	// the same peer (guarded by Cluster.mu).
-	replaying bool
 }
 
 // table builds the wire form of the member table, self included,
@@ -162,23 +159,18 @@ func (c *Cluster) mergeTable(entries []client.GossipMember) {
 	}
 }
 
-// setStateLocked applies a state transition, tracking suspicion age
-// and firing the heal hook (hint replay) on a transition to alive.
+// setStateLocked applies a state transition, tracking suspicion age.
 // Callers hold c.mu.
 func (c *Cluster) setStateLocked(m *member, st State) {
 	if m.state == st {
 		return
 	}
-	prev := m.state
 	m.state = st
 	switch st {
 	case StateSuspect:
 		m.suspectSince = time.Now()
 	case StateAlive:
 		m.lastErr = ""
-		if prev != StateAlive {
-			c.healedLocked(m)
-		}
 	}
 }
 

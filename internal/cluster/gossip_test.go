@@ -23,8 +23,8 @@ func ringPtr(c *Cluster) *Ring {
 	return c.ring
 }
 
-// setPeerState flips one member's gossip state directly (no heal hook,
-// no hint replay) so tests can stage liveness without side effects.
+// setPeerState flips one member's gossip state directly so tests can
+// stage liveness without a probe or a gossip exchange.
 func setPeerState(c *Cluster, url string, st State) {
 	c.mu.Lock()
 	if m := c.members[url]; m != nil {
@@ -233,63 +233,24 @@ func TestSuspectTimeoutPromotesToDead(t *testing.T) {
 	}
 }
 
-// TestPublishHintsDownPeerAndFlushReplays is the hinted-handoff loop in
-// one process: a publish that cannot reach a canonical replica queues a
-// hint; when the peer is alive again FlushHints delivers it.
-func TestPublishHintsDownPeerAndFlushReplays(t *testing.T) {
+// TestPublishSkipsDownPeer: a publish goes to live replicas only. A
+// replica it skips catches up by repair, not by a retry of the push.
+func TestPublishSkipsDownPeer(t *testing.T) {
 	p := newFakePeer(t, nil)
-	c := newTestCluster(t, p) // replication 2: canonical set = {self, peer}
+	c := newTestCluster(t, p) // replication 2: replica set = {self, peer}
 
 	setPeerState(c, p.hs.URL, StateSuspect)
-	if n := c.PublishImage(context.Background(), "img", []byte("wire")); n != 0 {
+	if n := c.PublishImage(context.Background(), "img", 1, []byte("wire")); n != 0 {
 		t.Fatalf("publish to a suspect-only cluster landed on %d peers, want 0", n)
 	}
-	st := c.Counters()
-	if st.Hinted != 1 || st.HintsPending != 1 {
-		t.Fatalf("counters hinted=%d pending=%d after a failed publish, want 1, 1", st.Hinted, st.HintsPending)
-	}
 	if p.puts.Load() != 0 {
-		t.Fatal("suspect peer saw a PUT; the live-publish loop must skip it")
+		t.Fatal("suspect peer saw a PUT; the publish must skip it")
 	}
-
-	// The peer heals (state only — the hook-free path keeps the replay
-	// deterministic); FlushHints drains the queue through the real PUT.
 	setPeerState(c, p.hs.URL, StateAlive)
-	if n := c.FlushHints(context.Background()); n != 1 {
-		t.Fatalf("FlushHints replayed %d hints, want 1", n)
+	if c.Counters().PeerErrors != 0 || p.puts.Load() != 0 {
+		t.Fatal("a heal replayed the skipped publish; nothing should")
 	}
-	if p.puts.Load() != 1 {
-		t.Fatalf("healed peer saw %d PUTs, want 1", p.puts.Load())
+	if n := c.PublishImage(context.Background(), "img", 2, []byte("wire")); n != 1 {
+		t.Fatalf("publish to the healed peer landed on %d peers, want 1", n)
 	}
-	st = c.Counters()
-	if st.HintsReplayed != 1 || st.HintsPending != 0 {
-		t.Fatalf("counters replayed=%d pending=%d after flush, want 1, 0", st.HintsReplayed, st.HintsPending)
-	}
-}
-
-// TestProbeHealTriggersHintReplay covers the background half of the
-// heal hook: a probe that brings a peer back fires the async replay.
-func TestProbeHealTriggersHintReplay(t *testing.T) {
-	p := newFakePeer(t, nil)
-	c := newTestCluster(t, p)
-
-	setPeerState(c, p.hs.URL, StateSuspect)
-	c.PublishImage(context.Background(), "img", []byte("wire"))
-	if st := c.Counters(); st.HintsPending != 1 {
-		t.Fatalf("hints pending = %d, want 1", st.HintsPending)
-	}
-
-	c.Probe(context.Background()) // peer answers /healthz: suspect → alive → replay
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		if st := c.Counters(); st.HintsReplayed == 1 && st.HintsPending == 0 {
-			if p.puts.Load() != 1 {
-				t.Fatalf("peer saw %d PUTs, want 1", p.puts.Load())
-			}
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	st := c.Counters()
-	t.Fatalf("hint replay never completed: replayed=%d pending=%d", st.HintsReplayed, st.HintsPending)
 }

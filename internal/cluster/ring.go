@@ -16,9 +16,10 @@
 // marked suspect on transport failures, a suspect silent past the
 // timeout is declared dead, and a down peer is skipped by every ring
 // lookup — without rebuilding the ring — until it heals. The tier
-// self-heals: publishes aimed at a down peer queue in a durable hint
-// log and replay on recovery, and an anti-entropy loop streams in
-// owned-but-missing images from their holders by comparing digests.
+// self-heals by anti-entropy repair: every name binding carries a
+// version, and each node pulls, from whichever live peer lists it, the
+// newest binding of every name it owns or holds a copy of — what a
+// down peer missed and what a rebind superseded alike.
 package cluster
 
 import (
@@ -57,7 +58,7 @@ const DefaultVNodes = 64
 
 // NewRing builds a ring over members (deduplicated, order-independent:
 // the member list is sorted so every node derives the identical ring
-// from the same -peers flag regardless of flag order). The seed
+// from the same -join seeds regardless of their order). The seed
 // perturbs every placement point, so distinct clusters sharing a
 // member URL do not correlate their arcs.
 func NewRing(members []string, vnodes int, seed uint64) (*Ring, error) {

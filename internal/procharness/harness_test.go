@@ -401,9 +401,9 @@ func holders(t *testing.T, nodes []*procNode, names []string) map[string]int {
 	return count
 }
 
-// clusterCompiles sums compile calls across nodes, and pendingHints
-// sums queued hints — the convergence meters.
-func clusterCompiles(t *testing.T, nodes []*procNode) (calls uint64, pending int) {
+// clusterCompiles sums compile calls across nodes — the
+// zero-recompile meter.
+func clusterCompiles(t *testing.T, nodes []*procNode) (calls uint64) {
 	t.Helper()
 	for _, n := range nodes {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -413,9 +413,6 @@ func clusterCompiles(t *testing.T, nodes []*procNode) (calls uint64, pending int
 			t.Fatalf("stats from %s: %v", n.name, err)
 		}
 		calls += st.Compile.Calls
-		if st.Cluster != nil {
-			pending += st.Cluster.HintsPending
-		}
 	}
-	return calls, pending
+	return calls
 }

@@ -1,6 +1,7 @@
 // Cluster serving benchmarks: the forwarded GET versus the local
 // serve, both measured over real HTTP so the comparison is two hops
-// against one (the CI gate holds forwarded to <= 2.5x local).
+// against one (CI fails a change whose forwarded/local ratio exceeds
+// its merge base's by more than 20%).
 package server
 
 import (

@@ -400,9 +400,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Image != "" {
-		si := &storedImage{img: img}
-		s.storeImage(req.Image, si)
-		s.publishToCluster(ctx, req.Image, si)
+		s.bindCompiled(ctx, req.Image, &storedImage{img: img})
 	}
 	sc.resp = client.CompileResponse{
 		Codec: svc.Codec().Name(),
@@ -495,8 +493,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var si *storedImage
 	if req.Image != "" {
 		si = &storedImage{img: img}
-		s.storeImage(req.Image, si)
-		s.publishToCluster(ctx, req.Image, si)
+		s.bindCompiled(ctx, req.Image, si)
 	}
 	entries := sc.resp.Entries[:0]
 	for i := range img.Entries {
@@ -526,9 +523,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, &sc.resp)
 }
 
+// handleImage serves name's current binding: the index's, else the
+// store's. A peer's request (marked forwarded) also gets the binding's
+// version, which a fill or a repair binds the bytes at.
 func (s *Server) handleImage(w http.ResponseWriter, r *http.Request) {
 	s.m.requests.Add(1)
 	name := r.PathValue("name")
+	forwarded := r.Header.Get(cluster.ForwardedHeader) != ""
 	si, ok := s.image(name)
 	if !ok {
 		// Fall back to the persistent store: images compiled before the
@@ -536,6 +537,9 @@ func (s *Server) handleImage(w http.ResponseWriter, r *http.Request) {
 		// their mmap'd wire bytes — no recompile, no copy.
 		if s.store != nil {
 			if blob, hit := s.store.Get(name); hit {
+				if forwarded {
+					setVersion(w, blob.Version())
+				}
 				s.writeWire(w, blob.Bytes())
 				blob.Release()
 				return
@@ -544,7 +548,7 @@ func (s *Server) handleImage(w http.ResponseWriter, r *http.Request) {
 		// Last resort: the cluster tier. A request already forwarded by
 		// a peer stops here — one hop only, so two nodes with divergent
 		// liveness views can never bounce a miss between each other.
-		if s.cluster != nil && r.Header.Get(cluster.ForwardedHeader) == "" {
+		if s.cluster != nil && !forwarded {
 			s.serveImageForwarded(w, r, name)
 			return
 		}
@@ -556,7 +560,15 @@ func (s *Server) handleImage(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, badRequest("image %q: %v", name, err))
 		return
 	}
+	if forwarded {
+		setVersion(w, si.version)
+	}
 	s.writeWire(w, wire)
+}
+
+// setVersion sets the binding-version header of a peer's answer.
+func setVersion(w http.ResponseWriter, v uint64) {
+	w.Header().Set(client.VersionHeader, strconv.FormatUint(v, 10))
 }
 
 // writeWire answers with image wire bytes.
@@ -572,11 +584,13 @@ func (s *Server) writeWire(w http.ResponseWriter, wire []byte) {
 // serveImageForwarded answers a local image miss from the cluster: the
 // name's digest routes to its ring owner (and replica successors on
 // failure) through the pooled retrying peer client. The peer's bytes
-// are validated and exactly the image is indexed (written through to
-// the store when there is one), so each image migrates to every node
-// that serves it and the next GET is local.
+// are validated and exactly the image is indexed at the peer's
+// binding version (written through to the store when there is one),
+// so each image migrates to every node that serves it, the next GET is
+// local, and repair leaves the fill alone until a newer binding
+// appears.
 func (s *Server) serveImageForwarded(w http.ResponseWriter, r *http.Request, name string) {
-	wire, _, err := s.cluster.FetchImage(r.Context(), name)
+	wire, version, from, err := s.cluster.FetchImage(r.Context(), name)
 	if err != nil {
 		s.failForward(w, name, err)
 		return
@@ -588,6 +602,7 @@ func (s *Server) serveImageForwarded(w http.ResponseWriter, r *http.Request, nam
 	// peer sent after it.
 	si, err := receivedImage(wire)
 	if err != nil {
+		s.cluster.NoteInvalidImage(from, err)
 		s.fail(w, &httpError{
 			status:     http.StatusBadGateway,
 			msg:        fmt.Sprintf("image %q: peer returned an invalid image: %v", name, err),
@@ -596,7 +611,9 @@ func (s *Server) serveImageForwarded(w http.ResponseWriter, r *http.Request, nam
 		return
 	}
 	// Write-through fill: the index for the next GET, the persistent
-	// store (inside storeImage) for restarts.
+	// store (inside storeImage) for restarts. A binding that raced in
+	// meanwhile and is newer stays; this answer is the peer's.
+	si.version = version
 	s.storeImage(name, si)
 	s.cluster.NoteFill()
 	s.writeWire(w, si.wire)
@@ -625,16 +642,30 @@ func (s *Server) failForward(w http.ResponseWriter, name string, err error) {
 
 // handleImagePut ingests serialized wire-format image bytes under a
 // name — the receiving half of cluster replication (peers push
-// compiled images to their digest's owner here), and a handy admin
-// primitive on any node. The body is validated before anything is
-// stored, and exactly its image is indexed; the store dedups identical
-// content by digest, so re-publishing is a metadata touch.
+// compiled images to their name's replica set here), and a handy admin
+// primitive on any node. A peer's PUT carries the binding's version
+// (client.VersionHeader) and binds only if that binding is newer than
+// the name's current one; a PUT without one is a new client write,
+// stamped here. Either way the answer is 204. The body is validated
+// before anything is stored, and exactly its image is indexed; the
+// store dedups identical content by digest, so re-publishing is a
+// metadata touch.
 func (s *Server) handleImagePut(w http.ResponseWriter, r *http.Request) {
 	s.m.requests.Add(1)
 	name := r.PathValue("name")
 	if err := checkImageName(name); err != nil {
 		s.fail(w, err)
 		return
+	}
+	var version uint64
+	if v := r.Header.Get(client.VersionHeader); v != "" {
+		var err error
+		if version, err = strconv.ParseUint(v, 10, 64); err != nil {
+			s.fail(w, badRequest("invalid %s %q", client.VersionHeader, v))
+			return
+		}
+	} else {
+		version = s.stamp()
 	}
 	// An image is also capped at what the store can hold, on every node
 	// for the reason names are.
@@ -673,6 +704,7 @@ func (s *Server) handleImagePut(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, badRequest("image %q: invalid wire bytes: %v", name, err))
 		return
 	}
+	si.version = version
 	s.storeImage(name, si)
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -706,14 +738,18 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// publishToCluster pushes a just-compiled stored image to its digest's
-// replica set. Best-effort by design: the image is already durable
-// locally and the GET path's successor fallback covers an unreachable
-// owner, so a failed publish costs a peer_errors tick, never a failed
-// compile. Synchronous on the request path: when the response returns,
-// the owner can serve the image — the invariant the cluster tests pin.
-func (s *Server) publishToCluster(ctx context.Context, name string, si *storedImage) {
-	if s.cluster == nil {
+// bindCompiled binds a named compile at a freshly stamped version and
+// pushes it to the name's replica set. The publish is best-effort by
+// design: the image is already durable locally, the GET path's
+// successor fallback covers an unreachable owner and repair brings a
+// missed replica up to date, so a failed publish costs a peer_errors
+// tick, never a failed compile. Synchronous on the request path: when
+// the response returns, the owner can serve the image — the invariant
+// the cluster tests pin. A compile that a concurrent one of the same
+// name outdated before it was indexed is not published.
+func (s *Server) bindCompiled(ctx context.Context, name string, si *storedImage) {
+	si.version = s.stamp()
+	if !s.storeImage(name, si) || s.cluster == nil {
 		return
 	}
 	wire, err := si.bytes()
@@ -722,7 +758,7 @@ func (s *Server) publishToCluster(ctx context.Context, name string, si *storedIm
 		// the peers could serve either.
 		return
 	}
-	s.cluster.PublishImage(ctx, name, wire)
+	s.cluster.PublishImage(ctx, name, si.version, wire)
 }
 
 // entrySummary condenses one compiled entry for the wire.

@@ -18,11 +18,17 @@ import (
 // testWire compiles one small pulse into image wire bytes.
 func testWire(t *testing.T) []byte {
 	t.Helper()
+	return testWireOf(t, testPulse(1, 9, 64))
+}
+
+// testWireOf compiles p into image wire bytes.
+func testWireOf(t *testing.T, p *qctrl.Pulse) []byte {
+	t.Helper()
 	svc, err := compaqt.New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := svc.CompilePulses(context.Background(), "wire", []*qctrl.Pulse{testPulse(1, 9, 64)})
+	img, err := svc.CompilePulses(context.Background(), "wire", []*qctrl.Pulse{p})
 	if err != nil {
 		t.Fatal(err)
 	}

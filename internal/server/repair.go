@@ -6,17 +6,21 @@ import (
 	"encoding/json"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"compaqt/client"
 	"compaqt/internal/cache"
 	"compaqt/internal/cluster"
+	"compaqt/internal/store"
 )
 
 // This file is the server half of the self-healing cluster: the gossip
-// and digest endpoints, and the anti-entropy repair loop that lets a
-// joining or healed node pull the shard it owns from current holders
-// instead of waiting for read misses to warm it.
+// and digest endpoints, and the anti-entropy repair loop, the one
+// catch-up path: it brings every name this node owns or holds a copy
+// of to the newest binding any live peer lists, whether this node
+// missed a publish while it was down, joined late, or holds a fill a
+// rebind has since superseded.
 
 // handleGossip answers POST /v1/cluster/gossip: one membership
 // push-pull exchange (see internal/cluster). The sender's table merges
@@ -36,10 +40,10 @@ func (s *Server) handleGossip(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// handleDigests answers GET /v1/cluster/digests: every image this node
-// can serve (the index united with the persistent store), with
-// content digests and wire sizes — the listing a repairing peer diffs
-// against its own holdings.
+// handleDigests answers GET /v1/cluster/digests: the current binding of
+// every image this node can serve, with its version, content digest
+// and wire size — the listing a repairing peer compares with its own
+// bindings.
 func (s *Server) handleDigests(w http.ResponseWriter, r *http.Request) {
 	s.m.requests.Add(1)
 	s.writeJSON(w, http.StatusOK, client.DigestsResponse{
@@ -48,66 +52,21 @@ func (s *Server) handleDigests(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// localDigests lists this node's holdings. Store bindings win over the
-// index on name collisions — the store's copy is the durable one.
+// localDigests lists the current binding of every name this node
+// serves.
 func (s *Server) localDigests() []client.ImageDigest {
-	seen := make(map[string]bool)
 	var out []client.ImageDigest
-	if s.store != nil {
-		for _, b := range s.store.Bindings() {
-			seen[b.Name] = true
+	for _, name := range s.imageNames() {
+		if b, ok := s.current(name); ok {
 			out = append(out, client.ImageDigest{
-				Name:   b.Name,
-				Digest: hex.EncodeToString(b.Key[:]),
-				Size:   b.Size,
+				Name:    name,
+				Digest:  hex.EncodeToString(b.key[:]),
+				Size:    b.size,
+				Version: b.version,
 			})
 		}
 	}
-	s.imagesMu.Lock()
-	names := make([]string, len(s.imageOrder))
-	copy(names, s.imageOrder)
-	s.imagesMu.Unlock()
-	for _, name := range names {
-		if seen[name] {
-			continue
-		}
-		si, ok := s.image(name)
-		if !ok {
-			continue
-		}
-		// Unrepresentable images (non-wire codecs) have nothing a peer
-		// could stream; skip them like GET /v1/images fails them.
-		wire, err := si.bytes()
-		if err != nil {
-			continue
-		}
-		k := si.digest()
-		out = append(out, client.ImageDigest{
-			Name:   name,
-			Digest: hex.EncodeToString(k[:]),
-			Size:   int64(len(wire)),
-		})
-	}
 	return out
-}
-
-// hasImage reports whether this node already holds name at exactly the
-// given content digest (in the store or the index).
-func (s *Server) hasImage(name, digest string) bool {
-	raw, err := hex.DecodeString(digest)
-	var k cache.Key
-	if err != nil || len(raw) != len(k) {
-		return false
-	}
-	copy(k[:], raw)
-	if s.store != nil && s.store.Contains(name, k) {
-		return true
-	}
-	if si, ok := s.image(name); ok {
-		_, err := si.bytes()
-		return err == nil && si.digest() == k
-	}
-	return false
 }
 
 // repairConcurrency bounds simultaneous repair fetches so a joining
@@ -115,40 +74,53 @@ func (s *Server) hasImage(name, digest string) bool {
 const repairConcurrency = 4
 
 // RepairOnce runs one anti-entropy round: ask every live peer for its
-// digest listing, keep the images this node owns (by ring placement)
-// but does not hold at the advertised digest, and stream them from
-// their holders — validated, indexed and written through to the store
-// like any other ingress. Returns the number of images repaired. The
-// background loop calls it on RepairInterval; tests call it directly
-// for determinism.
+// digest listing, take for each name the newest binding listed
+// (store.Supersedes), and fetch it from a peer that listed it when
+// this node owns the name or holds a copy, and the listed binding
+// supersedes its own. The fetched bytes are validated, then bound at
+// the version the peer served them with, like any other ingress.
+// Returns the number of images repaired. The background loop calls it
+// on RepairInterval; tests call it directly for determinism.
 func (s *Server) RepairOnce(ctx context.Context) int {
 	if s.cluster == nil {
 		return 0
 	}
-	// holders maps each wanted image to one peer that advertised it.
-	type want struct{ name, digest, holder string }
-	var wants []want
-	seen := make(map[string]bool)
+	type want struct {
+		binding
+		name, holder string
+	}
+	newest := make(map[string]want)
 	for _, peer := range s.cluster.LivePeers() {
 		digs, err := s.cluster.PeerDigests(ctx, peer)
 		if err != nil {
 			continue // the peer flapped; the next round retries
 		}
 		for _, d := range digs {
-			if seen[d.Name] || !s.cluster.Owns(d.Name) || s.hasImage(d.Name, d.Digest) {
+			var k cache.Key
+			if len(d.Digest) != hex.EncodedLen(len(k)) {
 				continue
 			}
-			seen[d.Name] = true
-			wants = append(wants, want{d.Name, d.Digest, peer})
+			if _, err := hex.Decode(k[:], []byte(d.Digest)); err != nil {
+				continue
+			}
+			w, seen := newest[d.Name]
+			if !seen || store.Supersedes(d.Version, k, w.version, w.key) {
+				newest[d.Name] = want{binding{d.Version, k, d.Size}, d.Name, peer}
+			}
 		}
 	}
-	if len(wants) == 0 {
-		return 0
+	var wants []want
+	for _, w := range newest {
+		cur, held := s.current(w.name)
+		if held && !store.Supersedes(w.version, w.key, cur.version, cur.key) ||
+			!held && !s.cluster.Owns(w.name) {
+			continue
+		}
+		wants = append(wants, w)
 	}
 	sem := make(chan struct{}, repairConcurrency)
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	repaired := 0
+	var repaired atomic.Int64
 	for _, wnt := range wants {
 		if ctx.Err() != nil {
 			break
@@ -157,7 +129,7 @@ func (s *Server) RepairOnce(ctx context.Context) int {
 		sem <- struct{}{}
 		go func(wnt want) {
 			defer func() { <-sem; wg.Done() }()
-			wire, err := s.cluster.FetchImageFrom(ctx, wnt.holder, wnt.name)
+			wire, version, err := s.cluster.FetchImageFrom(ctx, wnt.holder, wnt.name)
 			if err != nil {
 				return
 			}
@@ -166,32 +138,33 @@ func (s *Server) RepairOnce(ctx context.Context) int {
 			// well-formed image.
 			si, err := receivedImage(wire)
 			if err != nil {
+				s.cluster.NoteInvalidImage(wnt.holder, err)
 				return
 			}
-			s.storeImage(wnt.name, si)
-			s.cluster.NoteRepair()
-			mu.Lock()
-			repaired++
-			mu.Unlock()
+			si.version = version
+			if s.storeImage(wnt.name, si) {
+				s.cluster.NoteRepair()
+				repaired.Add(1)
+			}
 		}(wnt)
 	}
 	wg.Wait()
-	return repaired
+	return int(repaired.Load())
 }
 
-// repairLoop drives RepairOnce (plus a hint flush, so hints whose peer
-// healed while the heal hook was racing still drain) until Close.
+// repairLoop drives RepairOnce until Close, which also cancels a round
+// in flight and waits for the loop to return.
 func (s *Server) repairLoop(interval time.Duration) {
+	defer close(s.repairDone)
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
 		select {
-		case <-s.stopc:
+		case <-s.ctx.Done():
 			return
 		case <-t.C:
-			ctx, cancel := context.WithTimeout(context.Background(), interval+30*time.Second)
+			ctx, cancel := context.WithTimeout(s.ctx, interval+30*time.Second)
 			s.RepairOnce(ctx)
-			s.cluster.FlushHints(ctx)
 			cancel()
 		}
 	}
@@ -263,21 +236,16 @@ func (s *Server) handleStatsCluster(w http.ResponseWriter, r *http.Request) {
 func (s *Server) clusterStats() *client.ClusterStats {
 	st := s.cluster.Counters()
 	return &client.ClusterStats{
-		Self:            s.cluster.Self(),
-		Replication:     s.cluster.Replication(),
-		Members:         st.Members,
-		Live:            st.Live,
-		Forwarded:       st.Forwarded,
-		PeerFills:       st.PeerFills,
-		PeerErrors:      st.PeerErrors,
-		Hinted:          st.Hinted,
-		HintsReplayed:   st.HintsReplayed,
-		HintsDropped:    st.HintsDropped,
-		HintWriteErrors: st.HintWriteErrors,
-		HintsPending:    st.HintsPending,
-		Repairs:         st.Repairs,
-		GossipRounds:    st.GossipRounds,
-		Refutations:     st.Refutations,
+		Self:         s.cluster.Self(),
+		Replication:  s.cluster.Replication(),
+		Members:      st.Members,
+		Live:         st.Live,
+		Forwarded:    st.Forwarded,
+		PeerFills:    st.PeerFills,
+		PeerErrors:   st.PeerErrors,
+		Repairs:      st.Repairs,
+		GossipRounds: st.GossipRounds,
+		Refutations:  st.Refutations,
 	}
 }
 

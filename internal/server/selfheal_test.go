@@ -1,22 +1,26 @@
 // Self-healing tier tests over real HTTP listeners: gossip join (the
-// -join flag's path) growing a cluster from one seed, anti-entropy
-// repair streaming a joining node's shard and restoring a publish a
-// restarted replica missed, hinted handoff replaying a missed publish
-// (and a rebind repair alone would roll back) after a restart, a hint
-// log that is durable from a node's first start, and the scope=cluster
-// stats fan-out.
-// Gossip, probing and repair are all driven explicitly so every
-// convergence step is one the test caused.
+// -join flag's path) growing a cluster from one seed; anti-entropy
+// repair streaming a joining node's shard, restoring a publish a
+// restarted replica missed, and bringing every replica and fill to the
+// newest binding of a rebound name without ever rolling it back; and
+// the scope=cluster stats fan-out.
+// Gossip, probing and repair are driven explicitly so every convergence
+// step is one the test caused, except where a test checks the
+// background repair loop itself.
 package server
 
 import (
 	"bytes"
 	"context"
 	"encoding/base64"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
+	"net/http"
 	"net/http/httptest"
-	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -254,87 +258,6 @@ func TestClusterRepairStreamsJoinedShard(t *testing.T) {
 	}
 }
 
-// TestClusterHintedHandoffReplaysAfterRestart kills a replica, compiles
-// through the outage (the publish to the dead member becomes a hint),
-// restarts the member on its old address, and proves the hint replay
-// delivers the missed image — the restarted node serves it from local
-// state without recompiling.
-func TestClusterHintedHandoffReplaysAfterRestart(t *testing.T) {
-	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
-	withStores := func(i int, cfg *Config) { cfg.StoreDir = dirs[i] }
-	nodes := startClusterNodes(t, 3, 2, withStores)
-	names, wantBytes, specSets := clusterShapes(t, 6)
-	ctx := context.Background()
-
-	// Pick a name whose replica set contains two distinct non-self
-	// nodes: compile on one, kill the other, so the publish must cross
-	// the wire to a dead member.
-	pick, compiler, victim := -1, -1, -1
-	for s, name := range names {
-		var owners []int
-		for i, n := range nodes {
-			if n.srv.cluster.Owns(name) {
-				owners = append(owners, i)
-			}
-		}
-		if len(owners) == 2 {
-			pick, compiler, victim = s, owners[0], owners[1]
-			break
-		}
-	}
-	if pick < 0 {
-		t.Fatal("no name with a 2-node replica set; the ring lost replication")
-	}
-
-	self := nodes[victim].url
-	peers := []string{nodes[0].url, nodes[1].url, nodes[2].url}
-	nodes[victim].kill()
-	compileOn(t, nodes[compiler], names[pick], specSets[pick], wantBytes[pick])
-
-	st := nodes[compiler].srv.cluster.Counters()
-	if st.Hinted == 0 || st.HintsPending == 0 {
-		t.Fatalf("publish through the outage queued no hint: %+v", st)
-	}
-
-	// Restart the victim on its old address and heal it from the
-	// compiler's perspective; the background replay delivers the hint.
-	ln, err := net.Listen("tcp", self[len("http://"):])
-	if err != nil {
-		t.Fatalf("re-binding %s: %v", self, err)
-	}
-	restarted := startClusterNode(t, ln, self, peers, 2, victim, withStores)
-	nodes[compiler].srv.cluster.Probe(ctx)
-	nodes[compiler].srv.cluster.FlushHints(ctx)
-
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		if st := nodes[compiler].srv.cluster.Counters(); st.HintsPending == 0 && st.HintsReplayed > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			st := nodes[compiler].srv.cluster.Counters()
-			t.Fatalf("hint never replayed: pending=%d replayed=%d", st.HintsPending, st.HintsReplayed)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	// The restarted node now holds the missed image locally: it serves
-	// the exact bytes with zero compiles and zero forwards.
-	b, err := restarted.cl.ImageRaw(ctx, names[pick])
-	if err != nil {
-		t.Fatalf("GET hinted image from restarted node: %v", err)
-	}
-	if !bytes.Equal(b, wantBytes[pick]) {
-		t.Fatal("hinted image bytes differ from the in-process compile")
-	}
-	if got := restarted.srv.m.compileCalls.Load(); got != 0 {
-		t.Errorf("restarted node compiled %d times, want 0", got)
-	}
-	if st := restarted.srv.cluster.Counters(); st.Forwarded != 0 {
-		t.Errorf("restarted node forwarded %d GETs for a hinted image, want 0", st.Forwarded)
-	}
-}
-
 // TestClusterRepairRestoresMissedPublishAfterRestart kills a replica,
 // compiles through the outage (the publish to the dead member fails and
 // is counted), restarts the member on its old address, and proves that
@@ -351,22 +274,7 @@ func TestClusterRepairRestoresMissedPublishAfterRestart(t *testing.T) {
 	// Pick a name whose replica set contains two distinct non-self
 	// nodes: compile on one, kill the other, so the publish must cross
 	// the wire to a dead member.
-	pick, compiler, victim := -1, -1, -1
-	for s, name := range names {
-		var owners []int
-		for i, n := range nodes {
-			if n.srv.cluster.Owns(name) {
-				owners = append(owners, i)
-			}
-		}
-		if len(owners) == 2 {
-			pick, compiler, victim = s, owners[0], owners[1]
-			break
-		}
-	}
-	if pick < 0 {
-		t.Fatal("no name with a 2-node replica set; the ring lost replication")
-	}
+	pick, compiler, victim := pickOwned(t, nodes, names)
 
 	self := nodes[victim].url
 	peers := []string{nodes[0].url, nodes[1].url, nodes[2].url}
@@ -404,16 +312,68 @@ func TestClusterRepairRestoresMissedPublishAfterRestart(t *testing.T) {
 	}
 }
 
+// TestClusterHintedHandoffReplaysAfterRestart keeps the outage that
+// hinted handoff was once built for, now that no hint is queued: a
+// replica is killed, a name is compiled through the outage, and the
+// replica restarts on its old address and store with its background
+// repair loop running. Nothing else is driven: no probe, no flush, no
+// RepairOnce call. The loop alone must pull the missed publish, which
+// the restarted node then serves from local state without compiling or
+// forwarding.
+func TestClusterHintedHandoffReplaysAfterRestart(t *testing.T) {
+	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
+	withStores := func(i int, cfg *Config) { cfg.StoreDir = dirs[i] }
+	nodes := startClusterNodes(t, 3, 2, withStores)
+	names, wantBytes, specSets := clusterShapes(t, 6)
+	ctx := context.Background()
+	pick, compiler, victim := pickOwned(t, nodes, names)
+
+	self := nodes[victim].url
+	peers := []string{nodes[0].url, nodes[1].url, nodes[2].url}
+	nodes[victim].kill()
+	compileOn(t, nodes[compiler], names[pick], specSets[pick], wantBytes[pick])
+
+	ln, err := net.Listen("tcp", self[len("http://"):])
+	if err != nil {
+		t.Fatalf("re-binding %s: %v", self, err)
+	}
+	restarted := startClusterNode(t, ln, self, peers, 2, victim, func(i int, cfg *Config) {
+		withStores(i, cfg)
+		cfg.RepairInterval = 20 * time.Millisecond
+	})
+
+	// Wait on the repair counter, not a GET: a GET would forward to the
+	// compiler and fill, which is not the catch-up under test.
+	deadline := time.Now().Add(20 * time.Second)
+	for restarted.srv.cluster.Counters().Repairs == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the restarted node's repair loop never pulled the missed publish: %+v", restarted.srv.cluster.Counters())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	b, err := restarted.cl.ImageRaw(ctx, names[pick])
+	if err != nil {
+		t.Fatalf("GET missed image from restarted node: %v", err)
+	}
+	if !bytes.Equal(b, wantBytes[pick]) {
+		t.Fatal("missed image bytes differ from the in-process compile")
+	}
+	if got := restarted.srv.m.compileCalls.Load(); got != 0 {
+		t.Errorf("restarted node compiled %d times, want 0", got)
+	}
+	if st := restarted.srv.cluster.Counters(); st.Forwarded != 0 || st.Repairs != 1 {
+		t.Errorf("restarted node forwarded %d GETs and repaired %d images, want 0 and the 1 publish it missed", st.Forwarded, st.Repairs)
+	}
+}
+
 // TestClusterRebindDuringOutageSurvivesRepair pins the rebind case of
 // catch-up. Both owners hold a name; one is killed, the name is
 // recompiled from a different batch on the surviving owner, and the
 // killed owner restarts on its old store, still bound to the old
-// digest. Repair compares digests, not versions (ROADMAP item 1), so a
-// survivor repair round that runs first would find the old digest on
-// the restarted owner, see that it lacks it, and pull it back over the
-// new binding. The hint queued for the restarted owner is what prevents
-// that: the survivor's probe heals it and the replay rebinds it before
-// either owner repairs. Repair then runs on the survivor first, and
+// binding. The survivor's probe heals it, and the survivor repairs
+// first: it sees the old binding listed, and must keep its own, which
+// is newer. The restarted owner's repair then pulls the rebind, and
 // every node must end on the new bytes.
 func TestClusterRebindDuringOutageSurvivesRepair(t *testing.T) {
 	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
@@ -422,27 +382,8 @@ func TestClusterRebindDuringOutageSurvivesRepair(t *testing.T) {
 	names, wantBytes, specSets := clusterShapes(t, 6)
 	ctx := context.Background()
 
-	pick, survivor, victim, other := -1, -1, -1, -1
-	for s, name := range names {
-		var owners []int
-		for i, n := range nodes {
-			if n.srv.cluster.Owns(name) {
-				owners = append(owners, i)
-			}
-		}
-		if len(owners) == 2 {
-			pick, survivor, victim = s, owners[0], owners[1]
-			break
-		}
-	}
-	if pick < 0 {
-		t.Fatal("no name with a 2-node replica set; the ring lost replication")
-	}
-	for i := range nodes {
-		if i != survivor && i != victim {
-			other = i
-		}
-	}
+	pick, survivor, victim := pickOwned(t, nodes, names)
+	other := 3 - survivor - victim
 	name := names[pick]
 	compileOn(t, nodes[survivor], name, specSets[pick], wantBytes[pick])
 	if b, err := nodes[victim].cl.ImageRaw(ctx, name); err != nil || !bytes.Equal(b, wantBytes[pick]) {
@@ -452,21 +393,7 @@ func TestClusterRebindDuringOutageSurvivesRepair(t *testing.T) {
 	self := nodes[victim].url
 	peers := []string{nodes[0].url, nodes[1].url, nodes[2].url}
 	nodes[victim].kill()
-	resp, err := nodes[survivor].cl.CompileBatch(ctx, client.BatchRequest{
-		Image:        name,
-		Pulses:       specSets[(pick+1)%len(specSets)],
-		IncludeImage: true,
-	})
-	if err != nil {
-		t.Fatalf("rebind %q: %v", name, err)
-	}
-	rebound, err := base64.StdEncoding.DecodeString(resp.ImageB64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(rebound, wantBytes[pick]) {
-		t.Fatal("the rebind compiled the old bytes; the test needs a different image")
-	}
+	rebound := rebindOn(t, nodes[survivor], name, specSets[(pick+1)%len(specSets)], wantBytes[pick])
 
 	ln, err := net.Listen("tcp", self[len("http://"):])
 	if err != nil {
@@ -474,32 +401,269 @@ func TestClusterRebindDuringOutageSurvivesRepair(t *testing.T) {
 	}
 	restarted := startClusterNode(t, ln, self, peers, 2, victim, withStores)
 	nodes[survivor].srv.cluster.Probe(ctx)
-	nodes[survivor].srv.cluster.FlushHints(ctx)
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		if st := nodes[survivor].srv.cluster.Counters(); st.HintsPending == 0 && st.HintsReplayed > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			st := nodes[survivor].srv.cluster.Counters()
-			t.Fatalf("hint never replayed: pending=%d replayed=%d", st.HintsPending, st.HintsReplayed)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 
 	if n := nodes[survivor].srv.RepairOnce(ctx); n != 0 {
 		t.Errorf("surviving owner repaired %d images, want 0 (it holds the newest binding)", n)
 	}
-	restarted.srv.RepairOnce(ctx)
+	if n := restarted.srv.RepairOnce(ctx); n != 1 {
+		t.Errorf("restarted owner repaired %d images, want the 1 rebind it missed", n)
+	}
 	nodes[other].srv.RepairOnce(ctx)
-	for _, n := range []*clusterNode{nodes[survivor], restarted, nodes[other]} {
-		b, err := n.cl.ImageRaw(ctx, name)
+	expectServed(t, []*clusterNode{nodes[survivor], restarted, nodes[other]}, name, rebound)
+}
+
+// rebindOn recompiles name on n from a different batch and returns the
+// new bytes, which must differ from old.
+func rebindOn(t *testing.T, n *clusterNode, name string, specs []client.PulseSpec, old []byte) []byte {
+	t.Helper()
+	resp, err := n.cl.CompileBatch(context.Background(), client.BatchRequest{
+		Image:        name,
+		Pulses:       specs,
+		IncludeImage: true,
+	})
+	if err != nil {
+		t.Fatalf("rebind %q on %s: %v", name, n.url, err)
+	}
+	rebound, err := base64.StdEncoding.DecodeString(resp.ImageB64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(rebound, old) {
+		t.Fatal("the rebind compiled the old bytes; the test needs a different image")
+	}
+	return rebound
+}
+
+// expectServed checks that every node serves exactly want for name.
+func expectServed(t *testing.T, nodes []*clusterNode, name string, want []byte) {
+	t.Helper()
+	for _, n := range nodes {
+		b, err := n.cl.ImageRaw(context.Background(), name)
 		if err != nil {
 			t.Fatalf("GET %q from %s: %v", name, n.url, err)
 		}
-		if !bytes.Equal(b, rebound) {
-			t.Errorf("%s serves the old binding of %q after repair, want the rebind", n.url, name)
+		if !bytes.Equal(b, want) {
+			t.Errorf("%s serves a superseded binding of %q", n.url, name)
 		}
+	}
+}
+
+// pickOwned returns the index of a name with two owners among nodes,
+// and those owners' indices.
+func pickOwned(t *testing.T, nodes []*clusterNode, names []string) (pick, a, b int) {
+	t.Helper()
+	for s, name := range names {
+		var owners []int
+		for i, n := range nodes {
+			if n.srv.cluster.Owns(name) {
+				owners = append(owners, i)
+			}
+		}
+		if len(owners) == 2 {
+			return s, owners[0], owners[1]
+		}
+	}
+	t.Fatal("no name with a 2-node replica set; the ring lost replication")
+	return -1, -1, -1
+}
+
+// TestClusterRepairKeepsRebind compiles a name on an owner, fills it
+// on a non-owner with a GET, rebinds it on the owner from another
+// batch, and runs one repair round on every node. Repair compares
+// versions, so no owner pulls the fill's superseded binding back, and
+// the fill is refreshed: every node serves the rebind.
+func TestClusterRepairKeepsRebind(t *testing.T) {
+	for _, repl := range []int{1, 2} {
+		t.Run(fmt.Sprintf("R=%d", repl), func(t *testing.T) {
+			nodes := startClusterNodes(t, 3, repl, nil)
+			names, wantBytes, specSets := clusterShapes(t, 2)
+			name := names[0]
+			owner := ownerOf(t, nodes, name)
+			filler := -1
+			for i, n := range nodes {
+				if !n.srv.cluster.Owns(name) {
+					filler = i
+				}
+			}
+			compileOn(t, nodes[owner], name, specSets[0], wantBytes[0])
+			expectServed(t, nodes[filler:filler+1], name, wantBytes[0])
+			rebound := rebindOn(t, nodes[owner], name, specSets[1], wantBytes[0])
+			ctx := context.Background()
+			for _, n := range nodes {
+				n.srv.RepairOnce(ctx)
+			}
+			expectServed(t, nodes, name, rebound)
+		})
+	}
+}
+
+// TestClusterRepairIdleAfterFills: fills carry their owner's binding
+// version, so once every node has served every name, a repair round
+// anywhere finds nothing newer to fetch.
+func TestClusterRepairIdleAfterFills(t *testing.T) {
+	for _, repl := range []int{1, 2} {
+		t.Run(fmt.Sprintf("R=%d", repl), func(t *testing.T) {
+			nodes := startClusterNodes(t, 3, repl, nil)
+			names, wantBytes, specSets := clusterShapes(t, 4)
+			for s, name := range names {
+				compileOn(t, nodes[ownerOf(t, nodes, name)], name, specSets[s], wantBytes[s])
+				expectServed(t, nodes, name, wantBytes[s])
+			}
+			for _, n := range nodes {
+				if got := n.srv.RepairOnce(context.Background()); got != 0 {
+					t.Errorf("%s repaired %d images after fills, want 0", n.url, got)
+				}
+			}
+		})
+	}
+}
+
+// TestClusterRebindSurvivesRestartOfItsOnlyHolder: one owner of a name
+// is cut off, the name is rebound on the other, and that owner, now
+// the only holder of the rebind, restarts on its store before the cut
+// off one heals with the old binding still in memory. Versions are
+// persisted with the bindings, so the restarted holder keeps the
+// rebind and the healed owner takes it.
+func TestClusterRebindSurvivesRestartOfItsOnlyHolder(t *testing.T) {
+	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
+	withStores := func(i int, cfg *Config) { cfg.StoreDir = dirs[i] }
+	nodes := startClusterNodes(t, 3, 2, withStores)
+	names, wantBytes, specSets := clusterShapes(t, 6)
+	ctx := context.Background()
+	pick, holder, stale := pickOwned(t, nodes, names)
+	name := names[pick]
+	compileOn(t, nodes[holder], name, specSets[pick], wantBytes[pick])
+	expectServed(t, nodes[stale:stale+1], name, wantBytes[pick])
+
+	// Cut the stale owner off: its listener goes, its server and the
+	// binding it holds stay.
+	nodes[stale].hs.CloseClientConnections()
+	nodes[stale].hs.Close()
+	rebound := rebindOn(t, nodes[holder], name, specSets[(pick+1)%len(specSets)], wantBytes[pick])
+
+	peers := []string{nodes[0].url, nodes[1].url, nodes[2].url}
+	nodes[holder].kill()
+	ln, err := net.Listen("tcp", nodes[holder].url[len("http://"):])
+	if err != nil {
+		t.Fatal(err)
+	}
+	restarted := startClusterNode(t, ln, nodes[holder].url, peers, 2, holder, withStores)
+	ln, err = net.Listen("tcp", nodes[stale].url[len("http://"):])
+	if err != nil {
+		t.Fatal(err)
+	}
+	healed := httptest.NewUnstartedServer(nodes[stale].srv.Handler())
+	healed.Listener.Close()
+	healed.Listener = ln
+	healed.Start()
+	t.Cleanup(healed.Close)
+
+	if n := restarted.srv.RepairOnce(ctx); n != 0 {
+		t.Errorf("restarted holder repaired %d images, want 0 (it holds the newest binding)", n)
+	}
+	if n := nodes[stale].srv.RepairOnce(ctx); n != 1 {
+		t.Errorf("healed owner repaired %d images, want the 1 rebind it missed", n)
+	}
+	expectServed(t, []*clusterNode{restarted, nodes[stale], nodes[3-holder-stale]}, name, rebound)
+}
+
+// TestClusterRepairCountsInvalidPeerImage: a peer that lists a name and
+// serves bytes that are not an image costs a peer error on the repair
+// path and on the forward path, and stays alive: it did answer.
+func TestClusterRepairCountsInvalidPeerImage(t *testing.T) {
+	mux := http.NewServeMux()
+	peer := httptest.NewServer(mux)
+	t.Cleanup(peer.Close)
+	mux.HandleFunc("GET /v1/cluster/digests", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(client.DigestsResponse{Self: peer.URL, Images: []client.ImageDigest{
+			{Name: "img", Digest: strings.Repeat("ab", 32), Size: 7, Version: 1},
+		}})
+	})
+	mux.HandleFunc("GET /v1/images/img", func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("garbage"))
+	})
+	srv, err := New(Config{
+		Parallelism:    1,
+		RepairInterval: -1,
+		Cluster: cluster.Config{
+			Self:           "http://self.invalid:1",
+			Peers:          []string{peer.URL},
+			Replication:    2,
+			ProbeInterval:  -1,
+			GossipInterval: -1,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+
+	if n := srv.RepairOnce(context.Background()); n != 0 {
+		t.Fatalf("repair took %d invalid images", n)
+	}
+	if st := srv.Cluster().Counters(); st.PeerErrors != 1 || st.Live != 2 {
+		t.Fatalf("after repair fetched an invalid image: peer errors %d, live %d; want 1, 2", st.PeerErrors, st.Live)
+	}
+	front := httptest.NewServer(srv.Handler())
+	t.Cleanup(front.Close)
+	res, err := http.Get(front.URL + "/v1/images/img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusBadGateway {
+		t.Fatalf("forwarded GET of an invalid peer image answered %d, want 502", res.StatusCode)
+	}
+	if st := srv.Cluster().Counters(); st.PeerErrors != 2 || st.Live != 2 {
+		t.Fatalf("after a forward of an invalid image: peer errors %d, live %d; want 2, 2", st.PeerErrors, st.Live)
+	}
+}
+
+// TestClusterCloseCancelsRepairRound: Close ends a repair round in
+// flight. The peer's digest listing never answers; once Close returns,
+// the round's request to it must be gone within a second, not left to
+// the peer client's 5-s attempt timeout.
+func TestClusterCloseCancelsRepairRound(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	released := make(chan struct{})
+	var once sync.Once
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/cluster/digests" {
+			http.NotFound(w, r)
+			return
+		}
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-r.Context().Done()
+		once.Do(func() { close(released) })
+	}))
+	t.Cleanup(peer.Close)
+	srv, err := New(Config{
+		Parallelism:    1,
+		RepairInterval: 10 * time.Millisecond,
+		Cluster: cluster.Config{
+			Self:           "http://self.invalid:1",
+			Peers:          []string{peer.URL},
+			ProbeInterval:  -1,
+			GossipInterval: -1,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		srv.Close()
+		t.Fatal("no repair round reached the peer")
+	}
+	srv.Close()
+	select {
+	case <-released:
+	case <-time.After(time.Second):
+		t.Fatal("the repair round still holds the peer's request 1s after Close")
 	}
 }
 
@@ -557,51 +721,5 @@ func TestStatsScopeCluster(t *testing.T) {
 		if p.URL == nodes[2].url && p.Error == "" {
 			t.Fatal("dead member's slot carries no error")
 		}
-	}
-}
-
-// TestClusterHintLogDurableFromFirstStart lays a node out as
-// compaqt-serve does, with the hint log at <store-dir>/HINTS, on a
-// store directory that does not exist yet. The log must be on disk
-// from the first start: a hint queued then survives a restart.
-func TestClusterHintLogDurableFromFirstStart(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	down := "http://" + ln.Addr().String()
-	ln.Close() // the peer refuses every connection
-	dir := filepath.Join(t.TempDir(), "store")
-	cfg := Config{
-		Parallelism:    1,
-		StoreDir:       dir,
-		RepairInterval: -1,
-		Cluster: cluster.Config{
-			Self:           "http://self.invalid:1",
-			Peers:          []string{down},
-			Replication:    2,
-			ProbeInterval:  -1,
-			GossipInterval: -1,
-			HintPath:       filepath.Join(dir, "HINTS"),
-		},
-	}
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	srv.Cluster().PublishImage(context.Background(), "img", []byte("wire"))
-	if st := srv.Cluster().Counters(); st.HintsPending != 1 || st.HintWriteErrors != 0 {
-		t.Fatalf("first start: hints pending=%d write errors=%d, want 1, 0", st.HintsPending, st.HintWriteErrors)
-	}
-	srv.Close()
-
-	srv2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv2.Close() })
-	if st := srv2.Cluster().Counters(); st.HintsPending != 1 {
-		t.Fatalf("restart found %d hints on disk, want 1", st.HintsPending)
 	}
 }

@@ -9,7 +9,7 @@
 //	GET  /v1/stats           cache + request metrics (?scope=cluster aggregates)
 //	GET  /v1/cluster         ring view + member health (cluster mode)
 //	POST /v1/cluster/gossip  membership push-pull exchange (cluster mode)
-//	GET  /v1/cluster/digests owned-image digest listing (cluster mode)
+//	GET  /v1/cluster/digests versioned binding listing (cluster mode)
 //	GET  /healthz            liveness ("ok" / "draining")
 //
 // With Config.Cluster enabled the server is one cell of a
@@ -17,9 +17,12 @@
 // the consistent-hash owner of the name's digest (and written through
 // to the local store on success), and compiled named images are
 // published to the digest's replica set. Membership is gossiped
-// (internal/cluster), failed publishes are hinted and replayed on
-// heal, and a background anti-entropy loop (RepairOnce) pulls the
-// shard this node owns from current holders.
+// (internal/cluster). Every name binding carries a version, stamped
+// where a client binds the name and carried with the bytes; a binding
+// replaces another only if it is newer. A background anti-entropy loop
+// (RepairOnce) pulls the newest binding of every name this node owns or
+// holds a copy of from whichever live peer lists it: the one catch-up
+// path, for publishes a down replica missed and for rebinds alike.
 //
 // Request flow: decode (bounded by MaxBodyBytes) -> validate (pulse
 // shape, per-request codec overrides against the codec registry) ->
@@ -106,10 +109,10 @@ type Config struct {
 	// internal/cluster.
 	Cluster cluster.Config
 	// RepairInterval paces the cluster's background anti-entropy loop:
-	// each round pulls images this node owns but does not hold from
-	// their current holders and drains any deliverable hints. 0 means
-	// 5s; negative disables the loop (tests call RepairOnce directly).
-	// Ignored without Cluster.
+	// each round pulls, for every name this node owns or holds a copy
+	// of, any newer binding a live peer lists. 0 means 5s; negative
+	// disables the loop (tests call RepairOnce directly). Ignored
+	// without Cluster.
 	RepairInterval time.Duration
 	// ReadHeaderTimeout, ReadTimeout and IdleTimeout harden Run's
 	// http.Server against slow and stalled clients (slowloris): 0
@@ -198,6 +201,10 @@ type Server struct {
 	images     map[string]*storedImage
 	imageOrder []string
 
+	// clock is the highest binding version this node has stamped or
+	// accepted; stamp draws the next one from it.
+	clock atomic.Uint64
+
 	// store, when non-nil, is the persistent image store
 	// (Config.StoreDir): image GETs fall back to it when the index
 	// misses — the warm-restart path. storeImage is its only writer,
@@ -210,9 +217,12 @@ type Server struct {
 	// to the ring owner, compiles publish to the replica set.
 	cluster *cluster.Cluster
 
-	// stopc stops the background repair loop; closed once by Close.
-	stopc    chan struct{}
-	stopOnce sync.Once
+	// ctx scopes the background repair loop and its peer calls; Close
+	// cancels it, then waits for repairDone, which the loop closes on
+	// exit (nil when no loop runs).
+	ctx        context.Context
+	cancel     context.CancelFunc
+	repairDone chan struct{}
 
 	draining atomic.Bool
 	m        metrics
@@ -229,9 +239,10 @@ type derivedEntry struct {
 }
 
 // storedImage is one indexed image, served, published and listed as
-// exactly its wire bytes. wire is a buffer nothing else writes — a
-// compile's own serialization, or a fresh PUT or peer body trimmed to
-// the image ValidateImageBytes measured — so every response shares it.
+// exactly its wire bytes, with the version of its binding. wire is a
+// buffer nothing else writes — a compile's own serialization, or a
+// fresh PUT or peer body trimmed to the image ValidateImageBytes
+// measured — so every response shares it.
 // A compile is indexed as img and serialized on first use, at most
 // once, after which img is dropped: a compile nothing reads as bytes
 // costs no memory beyond what its entries share with the compile
@@ -239,6 +250,8 @@ type derivedEntry struct {
 // int-DCT-W) keeps the serialization error instead: GET answers it
 // 400, and publish, the store and the digest listing skip it.
 type storedImage struct {
+	version uint64
+
 	serialize sync.Once
 	img       *compaqt.Image
 	wire      []byte
@@ -272,6 +285,26 @@ func (si *storedImage) bytes() ([]byte, error) {
 func (si *storedImage) digest() cache.Key {
 	si.digestOnce.Do(func() { si.key = store.DigestWire(si.wire) })
 	return si.key
+}
+
+// supersedes reports whether si's binding replaces one at version v
+// whose digest key returns (store.Supersedes). The digests are only
+// read on a version tie; an image without wire bytes ranks as the zero
+// digest.
+func (si *storedImage) supersedes(v uint64, key func() cache.Key) bool {
+	if si.version != v {
+		return si.version > v
+	}
+	return store.Supersedes(si.version, si.keyOrZero(), v, key())
+}
+
+// keyOrZero returns the image's digest, or the zero key for an image
+// the wire format cannot hold.
+func (si *storedImage) keyOrZero() cache.Key {
+	if _, err := si.bytes(); err != nil {
+		return cache.Key{}
+	}
+	return si.digest()
 }
 
 // receivedImage validates image bytes that arrived from a client or a
@@ -336,22 +369,26 @@ func New(cfg Config) (*Server, error) {
 		derivedLL: list.New(),
 		sem:       make(chan struct{}, cfg.MaxInFlight),
 		images:    map[string]*storedImage{},
-		stopc:     make(chan struct{}),
 	}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	svc, err := compaqt.New(s.baseOptions(nil)...)
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	s.svc = svc
 
-	// The store opens first: it creates its directory, where
-	// compaqt-serve keeps the cluster's hint log.
 	if cfg.StoreDir != "" {
 		st, err := store.Open(cfg.StoreDir, cfg.StoreMaxBytes)
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 		s.store = st
+		// Versions stamped from here on order after every binding the
+		// store recovered, whatever the wall clock did across the
+		// restart.
+		for _, b := range st.Bindings() {
+			s.observe(b.Version)
+		}
 	}
 	if cfg.Cluster.Enabled() {
 		cl, err := cluster.New(cfg.Cluster)
@@ -377,6 +414,7 @@ func New(cfg Config) (*Server, error) {
 			if ri == 0 {
 				ri = 5 * time.Second
 			}
+			s.repairDone = make(chan struct{})
 			go s.repairLoop(ri)
 		}
 	}
@@ -568,12 +606,50 @@ func (s *Server) release() {
 	<-s.sem
 }
 
-// storeImage indexes an image under name, evicting the oldest indexed
-// image beyond MaxImages, and writes its bytes through to the
-// persistent store when one is configured.
-func (s *Server) storeImage(name string, si *storedImage) {
+// stamp returns a fresh binding version for a client's write: the
+// wall clock in nanoseconds, raised above every version this node has
+// stamped or accepted (a hybrid logical clock). The wall clock orders
+// rebinds made on nodes that never saw each other's writes; the floor
+// orders this node's writes after everything it holds, whatever its
+// clock says.
+func (s *Server) stamp() uint64 {
+	for {
+		cur := s.clock.Load()
+		v := max(uint64(time.Now().UnixNano()), cur+1)
+		if s.clock.CompareAndSwap(cur, v) {
+			return v
+		}
+	}
+}
+
+// observe raises the stamp floor to a version this node accepts.
+func (s *Server) observe(v uint64) {
+	for cur := s.clock.Load(); v > cur && !s.clock.CompareAndSwap(cur, v); cur = s.clock.Load() {
+	}
+}
+
+// storeImage binds name to si when si's binding supersedes the name's
+// current one (the index's, else the store's), and reports whether it
+// did. A stale publish, fill or repair changes nothing. An accepted
+// image is indexed, evicting the oldest indexed image beyond
+// MaxImages, and written through to the persistent store when one is
+// configured. The store applies the same rule, so concurrent writes of
+// one name leave the index and the store on the same winner.
+func (s *Server) storeImage(name string, si *storedImage) bool {
+	s.observe(si.version)
 	s.imagesMu.Lock()
-	if _, exists := s.images[name]; !exists {
+	cur, indexed := s.images[name]
+	stale := indexed && !si.supersedes(cur.version, cur.keyOrZero)
+	if !indexed && s.store != nil {
+		if b, ok := s.store.Lookup(name); ok {
+			stale = !si.supersedes(b.Version, func() cache.Key { return b.Key })
+		}
+	}
+	if stale {
+		s.imagesMu.Unlock()
+		return false
+	}
+	if !indexed {
 		s.imageOrder = append(s.imageOrder, name)
 		for len(s.imageOrder) > s.cfg.MaxImages {
 			delete(s.images, s.imageOrder[0])
@@ -583,7 +659,7 @@ func (s *Server) storeImage(name string, si *storedImage) {
 	s.images[name] = si
 	s.imagesMu.Unlock()
 	if s.store == nil {
-		return
+		return true
 	}
 	if wire, err := si.bytes(); err == nil {
 		// The handlers refuse names and PUT bodies the store cannot
@@ -591,8 +667,36 @@ func (s *Server) storeImage(name string, si *storedImage) {
 		// request's to report: a failed publish, which Put records for
 		// Healthy; a store closed by the drain; or a compiled image over
 		// MaxObjectBytes, which needs -max-body set above that cap.
-		_ = s.store.Put(name, si.digest(), wire)
+		_ = s.store.Put(name, si.digest(), si.version, wire)
 	}
+	return true
+}
+
+// binding is a name's current binding on this node as the cluster
+// compares them.
+type binding struct {
+	version uint64
+	key     cache.Key
+	size    int64
+}
+
+// current returns name's current binding: the index's, else the
+// store's; GET serves the same one. A name whose indexed image has no
+// wire form has none a peer could fetch.
+func (s *Server) current(name string) (binding, bool) {
+	if si, ok := s.image(name); ok {
+		wire, err := si.bytes()
+		if err != nil {
+			return binding{}, false
+		}
+		return binding{si.version, si.digest(), int64(len(wire))}, true
+	}
+	if s.store != nil {
+		if b, ok := s.store.Lookup(name); ok {
+			return binding{b.Version, b.Key, b.Size}, true
+		}
+	}
+	return binding{}, false
 }
 
 func (s *Server) image(name string) (*storedImage, bool) {
@@ -633,13 +737,17 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Service exposes the default-configuration service (tests, embedders).
 func (s *Server) Service() *compaqt.Service { return s.svc }
 
-// Close stops the cluster gossip/probe/repair loops and releases the
+// Close stops the cluster gossip/probe/repair loops, cancelling a
+// repair round in flight and waiting for it to end, and releases the
 // server's persistent store (flushing its manifest and releasing the
 // directory lock), so a successor process can open the same directory
 // immediately. It is idempotent and safe without either; Run calls it
 // after draining.
 func (s *Server) Close() error {
-	s.stopOnce.Do(func() { close(s.stopc) })
+	s.cancel()
+	if s.repairDone != nil {
+		<-s.repairDone
+	}
 	if s.cluster != nil {
 		s.cluster.Close()
 	}

@@ -9,10 +9,13 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"compaqt/client"
+	"compaqt/internal/cluster"
 	"compaqt/internal/race"
 	"compaqt/internal/store"
 )
@@ -363,5 +366,83 @@ func TestImagePutCommitsMemoryAsBytesArrive(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 		t.Fatalf("PUT declaring %d bytes and sending 1 allocated %d bytes, want under 1 MiB", r.ContentLength, got)
+	}
+}
+
+// TestStoreImageConcurrentWritesAgree: concurrent peer PUTs of one name
+// at different versions leave the index and the store on the same
+// binding, the newest, whatever order they land in.
+func TestStoreImageConcurrentWritesAgree(t *testing.T) {
+	srv := mustServer(t, Config{Parallelism: 1, StoreDir: t.TempDir()})
+	wires := [2][]byte{testWire(t), testWireOf(t, testPulse(2, 5, 64))}
+	const writers, each = 8, 8
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < each; k++ {
+				v := g*each + k + 1
+				req := httptest.NewRequest(http.MethodPut, "/v1/images/lib", bytes.NewReader(wires[v%2]))
+				req.Header.Set(client.VersionHeader, strconv.Itoa(v))
+				w := httptest.NewRecorder()
+				srv.Handler().ServeHTTP(w, req)
+				if w.Code != http.StatusNoContent {
+					t.Errorf("PUT at version %d: status %d", v, w.Code)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	const newest = writers * each
+	req := httptest.NewRequest(http.MethodGet, "/v1/images/lib", nil)
+	req.Header.Set(cluster.ForwardedHeader, "1")
+	w := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(w, req)
+	if !bytes.Equal(w.Body.Bytes(), wires[newest%2]) || w.Header().Get(client.VersionHeader) != strconv.Itoa(newest) {
+		t.Fatalf("index serves version %s, want the newest, %d, and its bytes", w.Header().Get(client.VersionHeader), newest)
+	}
+	b, ok := srv.store.Lookup("lib")
+	if !ok || b.Version != newest || b.Key != store.DigestWire(wires[newest%2]) {
+		t.Fatalf("store binds %+v, want the newest binding, version %d", b, newest)
+	}
+}
+
+// TestImagePutVersionHeader: a PUT's X-Compaqt-Version is the version
+// to bind at, checked like any input; a PUT without one is a new write
+// the node stamps above every version it holds, and a stale one is
+// answered 204 and changes nothing.
+func TestImagePutVersionHeader(t *testing.T) {
+	srv := mustServer(t, Config{Parallelism: 1})
+	a, b := testWire(t), testWireOf(t, testPulse(2, 5, 64))
+	put := func(wire []byte, version string) int {
+		req := httptest.NewRequest(http.MethodPut, "/v1/images/lib", bytes.NewReader(wire))
+		if version != "" {
+			req.Header.Set(client.VersionHeader, version)
+		}
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, req)
+		return w.Code
+	}
+	for _, bad := range []string{"abc", "-1", "18446744073709551616"} {
+		if code := put(a, bad); code != http.StatusBadRequest {
+			t.Fatalf("PUT with version %q answered %d, want 400", bad, code)
+		}
+	}
+	if code := put(a, "5"); code != http.StatusNoContent {
+		t.Fatalf("versioned PUT answered %d", code)
+	}
+	if code := put(b, ""); code != http.StatusNoContent {
+		t.Fatalf("unversioned PUT answered %d", code)
+	}
+	stamped, _ := srv.image("lib")
+	if stamped.version <= 5 || !bytes.Equal(stamped.wire, b) {
+		t.Fatalf("unversioned PUT bound version %d, want a stamp above 5", stamped.version)
+	}
+	if code := put(a, strconv.FormatUint(stamped.version-1, 10)); code != http.StatusNoContent {
+		t.Fatalf("stale PUT answered %d, want 204", code)
+	}
+	if si, _ := srv.image("lib"); si != stamped {
+		t.Fatal("a stale PUT replaced a newer binding")
 	}
 }

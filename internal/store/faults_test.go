@@ -198,3 +198,27 @@ func TestProbabilisticWriteFaultsEventuallyConverge(t *testing.T) {
 		faults.UninstallFS()
 	}
 }
+
+// TestStoreVersionRaiseSkipsFsync: a newer version of the bytes a name
+// already holds appends its manifest record without an fsync (the
+// bytes are durable), so an armed fsync failure is not reached; the
+// next write of new content is.
+func TestStoreVersionRaiseSkipsFsync(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), 0)
+	s.SetProbeInterval(time.Hour)
+	a, b := wireOf(t, testImage(t, "a", 2)), wireOf(t, testImage(t, "b", 3))
+	if err := s.Put("lib", DigestWire(a), 1, a); err != nil {
+		t.Fatal(err)
+	}
+	inj := installInjector(t, faults.FSConfig{Seed: 1})
+	inj.ArmOneShot(faults.OpSync, faults.Fault{Err: faults.ErrInjectedIO})
+	if err := s.Put("lib", DigestWire(a), 2, a); err != nil || s.Healthy() != nil {
+		t.Fatalf("version raise: err %v, health %v; want neither (no fsync)", err, s.Healthy())
+	}
+	if bd, _ := s.Lookup("lib"); bd.Version != 2 {
+		t.Fatalf("version raise left version %d, want 2", bd.Version)
+	}
+	if err := s.Put("lib", DigestWire(b), 3, b); !errors.Is(err, faults.ErrInjectedIO) {
+		t.Fatalf("new content with an armed fsync failure: %v, want the injected error", err)
+	}
+}

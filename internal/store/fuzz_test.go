@@ -18,12 +18,14 @@ import (
 // did recover and closes cleanly.
 func FuzzStoreOpen(f *testing.F) {
 	// Seeds: a valid single-bind manifest (with and without its object
-	// present and intact), plus classic corruptions.
+	// present and intact), plus classic corruptions, in the unversioned
+	// record format directories written before versions hold; then the
+	// versioned record.
 	obj := []byte("CPQT-not-really-wire-bytes")
 	var key cache.Key
 	key[0] = 7
 	good := bindRec{key: key, sum: sumBytes(obj), size: int64(len(obj))}
-	valid := append([]byte(manifestMagic), encodeRecord(opBind, "lib", good)...)
+	valid := append([]byte(manifestMagic), encodeRecord(opBindV0, "lib", good)...)
 
 	f.Add(valid, obj)
 	f.Add(valid, []byte("wrong content"))        // sum mismatch
@@ -34,9 +36,22 @@ func FuzzStoreOpen(f *testing.F) {
 	f.Add([]byte{}, obj)                         // empty manifest
 	f.Add(bytes.Repeat([]byte{0xff}, 4096), obj) // garbage
 	huge := bindRec{key: key, sum: good.sum, size: 1 << 40}
-	f.Add(append([]byte(manifestMagic), encodeRecord(opBind, "lib", huge)...), obj)
+	f.Add(append([]byte(manifestMagic), encodeRecord(opBindV0, "lib", huge)...), obj)
 	unb := append([]byte(nil), valid...)
 	f.Add(append(unb, encodeRecord(opUnbind, "lib", bindRec{})...), obj)
+
+	versioned := good
+	versioned.version = 1 << 60
+	validV := append([]byte(manifestMagic), encodeRecord(opBind, "lib", versioned)...)
+	f.Add(validV, obj)
+	f.Add(validV[:len(validV)-3], obj) // torn inside the version field
+	// An unversioned bind raised by a versioned one of the same bytes,
+	// then superseded by a record for other bytes.
+	raised := append(append([]byte(nil), valid...), encodeRecord(opBind, "lib", versioned)...)
+	f.Add(raised, obj)
+	other := versioned
+	other.sum[0] ^= 1
+	f.Add(append(raised, encodeRecord(opBind, "lib", other)...), obj)
 
 	f.Fuzz(func(t *testing.T, manifest, object []byte) {
 		dir := t.TempDir()

@@ -13,9 +13,9 @@ import (
 )
 
 // The manifest is the store's name index: an append-only log of
-// bind/unbind records mapping image names to object digests. Replaying
-// it (last record per name wins) reconstructs the live bindings on
-// warm restart; the object files themselves are self-verifying via the
+// bind/unbind records mapping image names to object digests and
+// binding versions. Replaying it (last record per name wins)
+// reconstructs the live bindings on warm restart; the object files themselves are self-verifying via the
 // recorded content sum. Every record carries a CRC so a torn append —
 // the crash case — truncates cleanly at the last whole record instead
 // of poisoning the scan, and hostile bytes can at worst drop bindings,
@@ -24,30 +24,38 @@ import (
 // Layout: an 8-byte magic header, then records of
 //
 //	crc  uint32  // IEEE CRC32 of everything after this field
-//	op   uint8   // 1 = bind, 2 = unbind
+//	op   uint8   // 3 = bind, 2 = unbind; 1 = bind without a version
 //	nlen uint16  // name length, capped at MaxNameLen
 //	name [nlen]byte
 //	-- bind records only --
 //	key  [32]byte // content digest (DigestImage), the object address
 //	sum  [32]byte // sha256 of the wire bytes, verified on restart
 //	size uint64   // wire length, cross-checked against the file
+//	ver  uint64   // binding version (op 3 only)
 //
-// all little-endian. The log is compacted (rewritten with only the
-// live binds, temp-file + rename) at open and when deletes accumulate.
+// all little-endian. Op 1 is the bind record of directories written
+// before bindings carried versions: it reads as version 0, which any
+// versioned write supersedes. The log is compacted (rewritten with
+// only the live binds, temp-file + rename) at open and when deletes
+// accumulate.
 const manifestMagic = "CPQTCAS1"
 
 const (
-	opBind   = 1
+	opBindV0 = 1
 	opUnbind = 2
-	// bindTail is the fixed-width payload after a bind record's name.
-	bindTail = 32 + 32 + 8
+	opBind   = 3
+	// bindTail is the fixed-width payload after a bind record's name,
+	// and bindTailV0 that of an unversioned one.
+	bindTailV0 = 32 + 32 + 8
+	bindTail   = bindTailV0 + 8
 )
 
 // bindRec is one live name binding as recorded in the manifest.
 type bindRec struct {
-	key  cache.Key
-	sum  cache.Key
-	size int64
+	key     cache.Key
+	sum     cache.Key
+	size    int64
+	version uint64
 }
 
 // scanManifest replays the log at path into the final name -> binding
@@ -84,6 +92,8 @@ func scanManifest(path string) map[string]bindRec {
 		switch op {
 		case opBind:
 			n += bindTail
+		case opBindV0:
+			n += bindTailV0
 		case opUnbind:
 		default:
 			return binds
@@ -106,6 +116,9 @@ func scanManifest(path string) map[string]bindRec {
 		copy(r.key[:], rest[0:32])
 		copy(r.sum[:], rest[32:64])
 		r.size = int64(le.Uint64(rest[64:72]))
+		if op == opBind {
+			r.version = le.Uint64(rest[72:80])
+		}
 		if r.size < 0 || r.size > MaxObjectBytes {
 			return binds
 		}
@@ -120,23 +133,27 @@ func encodeRecord(op byte, name string, r bindRec) []byte {
 	body = append(body, op)
 	body = le.AppendUint16(body, uint16(len(name)))
 	body = append(body, name...)
-	if op == opBind {
+	if op != opUnbind {
 		body = append(body, r.key[:]...)
 		body = append(body, r.sum[:]...)
 		body = le.AppendUint64(body, uint64(r.size))
+	}
+	if op == opBind {
+		body = le.AppendUint64(body, r.version)
 	}
 	rec := make([]byte, 0, 4+len(body))
 	rec = le.AppendUint32(rec, crc32.ChecksumIEEE(body))
 	return append(rec, body...)
 }
 
-// appendRecord durably appends one record: the write is followed by an
-// fsync so a published binding survives the very next crash.
-func appendRecord(f *os.File, op byte, name string, r bindRec) error {
+// appendRecord appends one record, durably when sync is set: the write
+// is then followed by an fsync so a published binding survives the
+// very next crash.
+func appendRecord(f *os.File, op byte, name string, r bindRec, sync bool) error {
 	if f == nil {
 		return fmt.Errorf("store: manifest is not writable")
 	}
-	if _, err := fsWrite(f, encodeRecord(op, name, r)); err != nil {
+	if _, err := fsWrite(f, encodeRecord(op, name, r)); err != nil || !sync {
 		return err
 	}
 	return fsSync(f)

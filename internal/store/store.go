@@ -6,7 +6,7 @@
 //
 // Layout of a store directory:
 //
-//	<dir>/MANIFEST        append-only name -> digest log (manifest.go)
+//	<dir>/MANIFEST        append-only name -> (digest, version) log (manifest.go)
 //	<dir>/LOCK            flock guard against a second concurrent Open
 //	<dir>/objects/<key>.cpqt   one wire-format image per content digest
 //
@@ -21,9 +21,15 @@
 // the manifest, verifies every object's size and content sum, drops
 // anything torn, and the process is warm: previously compiled images
 // serve byte-identically with zero recompiles.
+//
+// Every name binding carries a version, set where a client bound the
+// name and carried by the cluster with the bytes. Put replaces a
+// binding only with a newer one (Supersedes), so writes that arrive in
+// any order leave the store on the same winner.
 package store
 
 import (
+	"bytes"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -54,6 +60,13 @@ const (
 )
 
 var errClosed = errors.New("store: closed")
+
+// nameBind is one name's binding: the object it points at and the
+// binding's version.
+type nameBind struct {
+	o       *object
+	version uint64
+}
 
 // object is one resident content-addressed blob: the mapped (or
 // copied) wire bytes plus the names bound to them. refs counts the
@@ -90,8 +103,12 @@ func (o *object) release() {
 // across GC eviction of the entry — until Release. The zero Blob is
 // inert. Blobs are values; taking one allocates nothing.
 type Blob struct {
-	o *object
+	o       *object
+	version uint64
 }
+
+// Version returns the version of the binding Get read.
+func (b Blob) Version() uint64 { return b.version }
 
 // Bytes returns the image's serialized wire form. The slice aliases
 // the mapped region (or its fallback copy) and must not be written.
@@ -140,7 +157,7 @@ type Store struct {
 
 	mu      sync.RWMutex
 	closed  bool
-	byName  map[string]*object
+	byName  map[string]nameBind
 	byKey   map[cache.Key]*object
 	bytes   int64
 	man     *os.File // manifest append handle; nil when degraded read-only
@@ -176,7 +193,8 @@ type Stats struct {
 	Bytes, MaxBytes int64
 	// Hits and Misses count Get outcomes; Puts counts publishes that
 	// wrote or rebound content, PutDedups those short-circuited because
-	// the name already held the identical digest.
+	// the name already held the identical digest (a newer version of it
+	// included).
 	Hits, Misses, Puts, PutDedups uint64
 	// Evictions and EvictedBytes account the LRU GC.
 	Evictions, EvictedBytes uint64
@@ -212,7 +230,7 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 		objDir:     filepath.Join(dir, "objects"),
 		manPath:    filepath.Join(dir, "MANIFEST"),
 		maxBytes:   maxBytes,
-		byName:     map[string]*object{},
+		byName:     map[string]nameBind{},
 		byKey:      map[cache.Key]*object{},
 		probeEvery: defaultProbeEvery,
 		probeStop:  make(chan struct{}),
@@ -288,7 +306,7 @@ func (s *Store) recover() {
 		}
 		if o := s.byKey[r.key]; o != nil {
 			if o.sum == r.sum && o.size == r.size {
-				s.bindLocked(name, o)
+				s.bindLocked(name, o, r.version)
 				s.recovered++
 			}
 			continue
@@ -312,7 +330,7 @@ func (s *Store) recover() {
 		o := &object{key: r.key, sum: r.sum, size: r.size, data: data, mapped: mapped}
 		s.byKey[r.key] = o
 		s.bytes += r.size
-		s.bindLocked(name, o)
+		s.bindLocked(name, o, r.version)
 		s.recovered++
 	}
 
@@ -364,16 +382,18 @@ func (s *Store) loadObject(path string, size int64) (data []byte, mapped bool, e
 	return data, false, nil
 }
 
-// bindLocked points name at o, displacing any previous binding.
-func (s *Store) bindLocked(name string, o *object) {
-	if old := s.byName[name]; old != nil {
-		if old == o {
+// bindLocked points name at o at the given version, displacing any
+// previous binding.
+func (s *Store) bindLocked(name string, o *object, version uint64) {
+	if old, ok := s.byName[name]; ok {
+		if old.o == o {
+			s.byName[name] = nameBind{o, version}
 			o.lastUsed.Store(s.clock.Add(1))
 			return
 		}
-		s.unbindLocked(name, old)
+		s.unbindLocked(name, old.o)
 	}
-	s.byName[name] = o
+	s.byName[name] = nameBind{o, version}
 	o.bound = append(o.bound, name)
 	o.refs.Add(1)
 	o.lastUsed.Store(s.clock.Add(1))
@@ -405,7 +425,8 @@ func (s *Store) unbindLocked(name string, o *object) {
 // caller must Release the Blob when done writing its bytes out.
 func (s *Store) Get(name string) (Blob, bool) {
 	s.mu.RLock()
-	o := s.byName[name]
+	b := s.byName[name]
+	o := b.o
 	if o == nil {
 		s.mu.RUnlock()
 		s.misses.Add(1)
@@ -421,15 +442,15 @@ func (s *Store) Get(name string) (Blob, bool) {
 	} else {
 		s.copyServes.Add(1)
 	}
-	return Blob{o: o}, true
+	return Blob{o: o, version: b.version}, true
 }
 
 // Contains reports whether name is bound to exactly the given content
-// digest, refreshing its recency when so. It is the publish path's
-// dedup probe: a hit means the bytes are already durable.
+// digest, at any version, refreshing its recency when so. It is
+// PutImage's dedup probe: a hit means the bytes are already durable.
 func (s *Store) Contains(name string, key cache.Key) bool {
 	s.mu.RLock()
-	o := s.byName[name]
+	o := s.byName[name].o
 	ok := o != nil && o.key == key
 	if ok {
 		o.lastUsed.Store(s.clock.Add(1))
@@ -438,22 +459,33 @@ func (s *Store) Contains(name string, key cache.Key) bool {
 	return ok
 }
 
-// Put publishes wire (a serialized image) under name with the given
-// content digest. Publishing is atomic and durable: temp file, fsync,
-// rename, manifest append, fsync. Re-publishing a name with unchanged
-// content is a metadata touch; identical content under a second name
-// shares one object file. The store's byte budget is enforced after
-// the insert with LRU eviction.
-func (s *Store) Put(name string, key cache.Key, wire []byte) error {
+// Supersedes reports whether a binding at version with content digest
+// key replaces one at cur with digest curKey: the greater version wins,
+// and at equal versions the greater digest, so every node picks the
+// same winner without comparing node identities.
+func Supersedes(version uint64, key cache.Key, cur uint64, curKey cache.Key) bool {
+	if version != cur {
+		return version > cur
+	}
+	return bytes.Compare(key[:], curKey[:]) > 0
+}
+
+// Put binds name to wire (a serialized image with the given content
+// digest) at version, when that binding supersedes the name's current
+// one (Supersedes). Otherwise the name already holds this binding or a
+// newer one: Put changes nothing and returns nil. Publishing new
+// content is atomic and durable: temp file, fsync, rename, manifest
+// append, fsync. A newer version of the bytes the name already holds
+// appends its record without the fsyncs: the bytes are durable, and a
+// crash can cost only the newer version. Identical content under a
+// second name shares one object file. The store's byte budget is
+// enforced after the insert with LRU eviction.
+func (s *Store) Put(name string, key cache.Key, version uint64, wire []byte) error {
 	switch {
 	case name == "" || len(name) > MaxNameLen:
 		return fmt.Errorf("store: invalid image name (%d bytes)", len(name))
 	case len(wire) == 0 || int64(len(wire)) > MaxObjectBytes:
 		return fmt.Errorf("store: image of %d bytes is not storable", len(wire))
-	}
-	if s.Contains(name, key) {
-		s.putDedups.Add(1)
-		return nil
 	}
 
 	var (
@@ -471,13 +503,19 @@ func (s *Store) Put(name string, key cache.Key, wire []byte) error {
 			}
 			return errClosed
 		}
-		if o := s.byName[name]; o != nil && o.key == key {
-			o.lastUsed.Store(s.clock.Add(1))
+		cur, held := s.byName[name]
+		if held && !Supersedes(version, key, cur.version, cur.o.key) {
+			// An object this call published meanwhile stays on disk
+			// unreferenced until the next Open sweeps it: a concurrent
+			// Put of the same content may be about to bind it.
+			if cur.o.key == key {
+				cur.o.lastUsed.Store(s.clock.Add(1))
+				s.putDedups.Add(1)
+			}
 			s.mu.Unlock()
 			if mapped {
 				unmapBytes(data)
 			}
-			s.putDedups.Add(1)
 			return nil
 		}
 		o := s.byKey[key]
@@ -502,8 +540,9 @@ func (s *Store) Put(name string, key cache.Key, wire []byte) error {
 			// mapped the same file and is redundant.
 			unmapBytes(data)
 		}
-		s.bindLocked(name, o)
-		err := appendRecord(s.man, opBind, name, bindRec{key: o.key, sum: o.sum, size: o.size})
+		raise := held && cur.o == o
+		s.bindLocked(name, o, version)
+		err := appendRecord(s.man, opBind, name, bindRec{key: o.key, sum: o.sum, size: o.size, version: version}, !raise)
 		if err != nil {
 			s.setErr(fmt.Errorf("manifest append: %w", err))
 		}
@@ -511,7 +550,11 @@ func (s *Store) Put(name string, key cache.Key, wire []byte) error {
 		s.gcLocked()
 		s.maybeCompactLocked()
 		s.mu.Unlock()
-		s.puts.Add(1)
+		if raise {
+			s.putDedups.Add(1)
+		} else {
+			s.puts.Add(1)
+		}
 		if err == nil {
 			s.clearErr()
 		}
@@ -557,7 +600,10 @@ func (s *Store) publish(key cache.Key, wire []byte) (data []byte, mapped bool, s
 // capacity so steady publish traffic serializes allocation-free.
 var wireBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// PutImage serializes img and publishes it under name. Images the wire
+// PutImage serializes img and publishes it under name at version 0,
+// the version of every binding written before bindings carried one: a
+// new name binds, and a name already bound keeps its binding unless
+// the tie rule of Supersedes prefers img. Images the wire
 // format cannot represent (non-int-DCT-W variants, empty libraries)
 // are skipped silently — persistence mirrors exactly what GET
 // /v1/images can serve. Content already stored under name is detected
@@ -579,7 +625,7 @@ func (s *Store) PutImage(name string, img *core.Image) error {
 		wireBufPool.Put(bp)
 		return nil // not representable on the wire: nothing to persist
 	}
-	err = s.Put(name, key, wire)
+	err = s.Put(name, key, 0, wire)
 	*bp = wire[:0]
 	wireBufPool.Put(bp)
 	return err
@@ -604,7 +650,7 @@ func (s *Store) gcLocked() {
 		size := victim.size
 		for len(victim.bound) > 0 {
 			name := victim.bound[len(victim.bound)-1]
-			if err := appendRecord(s.man, opUnbind, name, bindRec{}); err != nil {
+			if err := appendRecord(s.man, opUnbind, name, bindRec{}, true); err != nil {
 				s.setErr(fmt.Errorf("manifest append: %w", err))
 			}
 			s.appends++
@@ -636,8 +682,8 @@ func (s *Store) compactLocked() {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		o := s.byName[n]
-		binds = append(binds, namedBind{name: n, rec: bindRec{key: o.key, sum: o.sum, size: o.size}})
+		b := s.byName[n]
+		binds = append(binds, namedBind{name: n, rec: bindRec{key: b.o.key, sum: b.o.sum, size: b.o.size, version: b.version}})
 	}
 	if err := writeCompactManifest(s.manPath, binds); err != nil {
 		s.setErr(fmt.Errorf("manifest compaction: %w", err))
@@ -670,19 +716,29 @@ func (s *Store) Names() []string {
 // Binding is one name -> content binding the store holds, as the
 // cluster's anti-entropy digest listing reports it.
 type Binding struct {
-	Name string
-	Key  cache.Key
-	Size int64
+	Name    string
+	Key     cache.Key
+	Size    int64
+	Version uint64
+}
+
+// Lookup returns name's binding, if it has one.
+func (s *Store) Lookup(name string) (Binding, bool) {
+	s.mu.RLock()
+	b, ok := s.byName[name]
+	s.mu.RUnlock()
+	if !ok {
+		return Binding{}, false
+	}
+	return Binding{Name: name, Key: b.o.key, Size: b.o.size, Version: b.version}, true
 }
 
 // Bindings returns every live name -> digest binding, sorted by name.
-// The cluster tier serves GET /v1/cluster/digests from it so a
-// repairing peer can see exactly what this node holds durably.
 func (s *Store) Bindings() []Binding {
 	s.mu.RLock()
 	out := make([]Binding, 0, len(s.byName))
-	for n, o := range s.byName {
-		out = append(out, Binding{Name: n, Key: o.key, Size: o.size})
+	for n, b := range s.byName {
+		out = append(out, Binding{Name: n, Key: b.o.key, Size: b.o.size, Version: b.version})
 	}
 	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -839,7 +895,8 @@ func (s *Store) Probe() bool {
 }
 
 // Flush fsyncs the manifest. Appends are already durable record by
-// record; Flush exists for drain paths that want an explicit barrier.
+// record, except the records that only raise a binding's version;
+// Flush exists for drain paths that want an explicit barrier.
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -872,7 +929,7 @@ func (s *Store) Close() error {
 			o.data = nil
 		}
 	}
-	s.byName = map[string]*object{}
+	s.byName = map[string]nameBind{}
 	s.byKey = map[cache.Key]*object{}
 	s.bytes = 0
 	var err error

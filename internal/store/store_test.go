@@ -517,3 +517,145 @@ func TestManifestCompaction(t *testing.T) {
 
 // maxNameLenSmall bounds the names the compaction test writes.
 const maxNameLenSmall = 16
+
+// TestStoreOpensUnversionedDirectory lays out a directory the way a
+// store did before bindings carried versions: its manifest holds only
+// unversioned bind records. Every binding must open at version 0 and
+// serve byte-identically, and a versioned write must supersede it.
+func TestStoreOpensUnversionedDirectory(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, 0)
+	wires := map[string][]byte{}
+	for i := 0; i < 3; i++ {
+		name := fmt.Sprintf("lib-%d", i)
+		img := testImage(t, name, i+2)
+		wires[name] = wireOf(t, img)
+		if err := s.PutImage(name, img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	binds := s.Bindings()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	man := []byte(manifestMagic)
+	for _, b := range binds {
+		rec := bindRec{key: b.Key, sum: sumBytes(wires[b.Name]), size: b.Size}
+		man = append(man, encodeRecord(opBindV0, b.Name, rec)...)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), man, 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := mustOpen(t, dir, 0)
+	if st := s2.Stats(); st.Recovered != 3 {
+		t.Fatalf("reopened an unversioned directory with %d bindings, want 3", st.Recovered)
+	}
+	for name, want := range wires {
+		b, ok := s2.Lookup(name)
+		if !ok || b.Version != 0 {
+			t.Fatalf("%s: binding %+v (found %v), want version 0", name, b, ok)
+		}
+		blob, ok := s2.Get(name)
+		if !ok || !bytes.Equal(blob.Bytes(), want) {
+			t.Fatalf("%s: reopened bytes differ from the original wire form", name)
+		}
+		blob.Release()
+	}
+	other := wireOf(t, testImage(t, "other", 5))
+	if err := s2.Put("lib-0", DigestWire(other), 1, other); err != nil {
+		t.Fatal(err)
+	}
+	if blob, ok := s2.Get("lib-0"); !ok || !bytes.Equal(blob.Bytes(), other) {
+		t.Fatal("a versioned write did not supersede an unversioned binding")
+	} else {
+		blob.Release()
+	}
+}
+
+// TestStorePutKeepsNewerBinding: Put replaces a binding only with a
+// newer one, and at equal versions with the greater digest, whatever
+// order the writes arrive in.
+func TestStorePutKeepsNewerBinding(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), 0)
+	a, b := wireOf(t, testImage(t, "a", 2)), wireOf(t, testImage(t, "b", 3))
+	ka, kb := DigestWire(a), DigestWire(b)
+	served := func() []byte {
+		t.Helper()
+		blob, ok := s.Get("lib")
+		if !ok {
+			t.Fatal("lib not bound")
+		}
+		defer blob.Release()
+		return bytes.Clone(blob.Bytes())
+	}
+	if err := s.Put("lib", ka, 5, a); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("lib", kb, 4, b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(served(), a) {
+		t.Fatal("an older version replaced a newer one")
+	}
+	if st := s.Stats(); st.Objects != 1 {
+		t.Fatalf("the stale write left %d objects, want 1", st.Objects)
+	}
+	// A tie goes to the greater digest, from either side.
+	hi, lo, khi, klo := a, b, ka, kb
+	if bytes.Compare(ka[:], kb[:]) < 0 {
+		hi, lo, khi, klo = b, a, kb, ka
+	}
+	if err := s.Put("lib", klo, 9, lo); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("lib", khi, 9, hi); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("lib", klo, 9, lo); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(served(), hi) {
+		t.Fatal("an equal-version write with the smaller digest won")
+	}
+	// A newer version of the same bytes is a dedup that raises the
+	// version.
+	dedups := s.Stats().PutDedups
+	if err := s.Put("lib", khi, 10, hi); err != nil {
+		t.Fatal(err)
+	}
+	if bd, _ := s.Lookup("lib"); bd.Version != 10 || s.Stats().PutDedups != dedups+1 {
+		t.Fatalf("version raise: binding %+v, dedups %d, want version 10, %d", bd, s.Stats().PutDedups, dedups+1)
+	}
+}
+
+// TestStoreVersionsSurviveRestart: a restart keeps every binding's
+// version, the ones a same-bytes write only raised included.
+func TestStoreVersionsSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, 0)
+	a, b := wireOf(t, testImage(t, "a", 2)), wireOf(t, testImage(t, "b", 3))
+	for _, put := range []struct {
+		name    string
+		wire    []byte
+		version uint64
+	}{{"a", a, 3}, {"b", b, 7}, {"b", b, 1 << 62}} {
+		if err := s.Put(put.name, DigestWire(put.wire), put.version, put.wire); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := mustOpen(t, dir, 0)
+	for name, want := range map[string]uint64{"a": 3, "b": 1 << 62} {
+		if bd, ok := s2.Lookup(name); !ok || bd.Version != want {
+			t.Fatalf("%s after restart: %+v (found %v), want version %d", name, bd, ok, want)
+		}
+		blob, ok := s2.Get(name)
+		if !ok || blob.Version() != want {
+			t.Fatalf("%s: Get read version %d, want %d", name, blob.Version(), want)
+		}
+		blob.Release()
+	}
+}
