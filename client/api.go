@@ -278,16 +278,17 @@ type ClusterStats struct {
 	Live    int `json:"live"`
 	// Forwarded counts image GETs this node answered from a peer;
 	// PeerFills the remote fetches written through to the local store;
-	// PeerErrors the failed peer attempts (fetch or publish) and the
-	// peer answers that were not a valid image.
+	// PeerErrors the failed fetches, publishes and digest listings and
+	// the peer answers that were not a valid image (failed gossip
+	// exchanges are liveness checks and are not counted).
 	Forwarded  uint64 `json:"forwarded"`
 	PeerFills  uint64 `json:"peer_fills"`
 	PeerErrors uint64 `json:"peer_errors"`
 	// Repairs counts images pulled by the anti-entropy repair loop.
 	Repairs uint64 `json:"repairs"`
 	// GossipRounds counts initiated membership exchanges; Refutations
-	// the self-incarnation bumps made to refute suspect/dead claims
-	// about this node.
+	// the self-incarnation bumps made to refute suspect claims about
+	// this node.
 	GossipRounds uint64 `json:"gossip_rounds"`
 	Refutations  uint64 `json:"refutations"`
 }
@@ -297,19 +298,21 @@ type PeerStatus struct {
 	URL string `json:"url"`
 	// Self marks the answering node's own row.
 	Self bool `json:"self,omitempty"`
-	// Alive is the node's current liveness verdict: probes and
-	// transport failures mark a peer down, a healthy probe heals it.
+	// Alive is the node's current liveness verdict: a failed gossip
+	// exchange or a transport failure marks a peer down, a successful
+	// exchange (or its refutation, gossiped) heals it.
 	Alive bool `json:"alive"`
-	// State is the gossip membership state: "alive", "suspect" or
-	// "dead". Incarnation is the member's gossip version — only the
-	// member itself bumps it, to refute suspicion.
+	// State is the gossip membership state: "alive" or "suspect". A
+	// member that stays unreachable stays "suspect". Incarnation is
+	// the member's gossip version — only the member itself bumps it,
+	// to refute suspicion.
 	State       string `json:"state,omitempty"`
 	Incarnation uint64 `json:"incarnation,omitempty"`
 	// Share is the fraction of the digest space the member's virtual
 	// nodes own (≈ 1/members when balanced).
 	Share float64 `json:"share"`
-	// LastError is the most recent probe or forward failure, empty for
-	// a healthy peer.
+	// LastError is the most recent failed gossip exchange or peer call,
+	// empty for a healthy peer.
 	LastError string `json:"last_error,omitempty"`
 }
 
@@ -326,9 +329,10 @@ type ClusterResponse struct {
 }
 
 // GossipMember is one row of the membership table two nodes exchange:
-// identity, gossip incarnation, and liveness state ("alive", "suspect",
-// "dead"). A higher incarnation always supersedes a lower one; at equal
-// incarnation the more severe state wins.
+// identity, gossip incarnation, and liveness state ("alive" or
+// "suspect"; any other value, such as an older node's "dead", reads as
+// "suspect"). A higher incarnation always supersedes a lower one; at
+// equal incarnation the more severe state wins.
 type GossipMember struct {
 	URL         string `json:"url"`
 	Incarnation uint64 `json:"incarnation"`

@@ -25,7 +25,10 @@
 // shards are forwarded to their owner (and written through to the
 // local store), and each compiled named image is published to its
 // owner plus -replication-1 ring successors. -peers is a deprecated
-// spelling of -join. Membership is gossiped. Every name binding carries
+// spelling of -join. Membership is gossiped, and the gossip exchange
+// (-gossip-interval) is also the liveness check: each round reaches the
+// next member in turn, and one that fails it is routed around until an
+// exchange succeeds again. Every name binding carries
 // a version, stamped by the node a client binds the name on and
 // carried with the bytes, so a binding replaces another only if it is
 // newer. A background anti-entropy loop (-repair-interval) brings
@@ -77,9 +80,7 @@ func main() {
 	join := flag.String("join", "", "comma-separated base URLs of one or more cluster members, this node's own allowed; gossip learns the rest of the table (empty = standalone)")
 	peers := flag.String("peers", "", "deprecated: same as -join")
 	replication := flag.Int("replication", 1, "cluster replication factor: ring members each image is published to")
-	clusterProbe := flag.Duration("cluster-probe", 0, "peer health-probe interval (0 = 1s, negative = disabled)")
-	gossipInterval := flag.Duration("gossip-interval", 0, "membership gossip push-pull interval (0 = 1s, negative = disabled)")
-	suspectTimeout := flag.Duration("suspect-timeout", 0, "how long a suspect member may stay silent before it is declared dead (0 = 5s)")
+	gossipInterval := flag.Duration("gossip-interval", 0, "membership gossip push-pull interval, also the peer liveness check (0 = 1s, negative = disabled)")
 	repairInterval := flag.Duration("repair-interval", 0, "anti-entropy shard-repair interval (0 = 5s, negative = disabled)")
 	flag.Parse()
 
@@ -125,9 +126,7 @@ func main() {
 			Self:           strings.TrimRight(*self, "/"),
 			Peers:          seeds,
 			Replication:    *replication,
-			ProbeInterval:  *clusterProbe,
 			GossipInterval: *gossipInterval,
-			SuspectTimeout: *suspectTimeout,
 			Transport:      peerTransport(),
 		},
 		RepairInterval: *repairInterval,

@@ -29,16 +29,10 @@ type Config struct {
 	// exceed the current member count: lookups clamp per call, so a
 	// cluster that grows by gossip grows into its factor.
 	Replication int
-	// ProbeInterval paces the background /healthz sweep, one of the
-	// suspicion inputs; 0 means 1s, negative disables the loop (the
-	// owner then calls Probe explicitly — the test harness does).
-	ProbeInterval time.Duration
-	// GossipInterval paces the membership push-pull exchanges; 0 means
-	// 1s, negative disables the loop (tests call GossipOnce directly).
+	// GossipInterval paces the membership push-pull exchanges, the
+	// active liveness check; 0 means 1s, negative disables the loop
+	// (tests call GossipOnce directly).
 	GossipInterval time.Duration
-	// SuspectTimeout is how long a member may stay suspect before it is
-	// declared dead; 0 means 5s.
-	SuspectTimeout time.Duration
 	// Transport substitutes the HTTP transport under every peer client
 	// (fault injection, custom dialers); nil means the default.
 	Transport http.RoundTripper
@@ -64,15 +58,16 @@ type Stats struct {
 	Forwarded uint64
 	// PeerFills counts remote fetches written through locally.
 	PeerFills uint64
-	// PeerErrors counts failed peer attempts (fetch or publish) and
-	// peer answers that were not a valid image.
+	// PeerErrors counts failed fetches, publishes and digest listings
+	// and peer answers that were not a valid image; failed gossip
+	// exchanges are liveness checks and stay out of it.
 	PeerErrors uint64
 	// Repairs counts images pulled by the anti-entropy repair loop.
 	Repairs uint64
 	// GossipRounds counts initiated push-pull exchanges.
 	GossipRounds uint64
 	// Refutations counts self-incarnation bumps made to refute a
-	// suspect/dead claim about this node.
+	// suspect claim about this node.
 	Refutations uint64
 	// Members is the known member count (any state), Live the subset
 	// currently alive (self included).
@@ -104,16 +99,18 @@ type Cluster struct {
 	cmu sync.Mutex
 	st  Stats
 
-	suspectTimeout time.Duration
-
-	stop     chan struct{}
-	stopOnce sync.Once
+	// ctx scopes the gossip loop and its exchanges; Close cancels it,
+	// then waits for done, which the loop closes on exit (nil when no
+	// loop runs).
+	ctx    context.Context
+	cancel context.CancelFunc
+	done   chan struct{}
 }
 
 // New builds a Cluster from cfg. The initial table covers
 // {Self} ∪ Peers; gossip grows it from there. One retrying client is
-// built per remote member and reused for every forward, publish, probe
-// and gossip exchange.
+// built per remote member and reused for every forward, publish and
+// gossip exchange.
 func New(cfg Config) (*Cluster, error) {
 	if cfg.Self == "" {
 		return nil, fmt.Errorf("cluster: Self (this node's advertised URL) is required with Peers")
@@ -126,19 +123,13 @@ func New(cfg Config) (*Cluster, error) {
 	if inner == nil {
 		inner = http.DefaultTransport
 	}
-	suspect := cfg.SuspectTimeout
-	if suspect <= 0 {
-		suspect = 5 * time.Second
-	}
 	c := &Cluster{
-		cfg:            cfg,
-		self:           cfg.Self,
-		repl:           repl,
-		hc:             &http.Client{Transport: inner},
-		members:        make(map[string]*member),
-		selfInc:        1,
-		suspectTimeout: suspect,
-		stop:           make(chan struct{}),
+		cfg:     cfg,
+		self:    cfg.Self,
+		repl:    repl,
+		hc:      &http.Client{Transport: inner},
+		members: make(map[string]*member),
+		selfInc: 1,
 	}
 	c.mu.Lock()
 	if c.addMemberLocked(cfg.Self) == nil {
@@ -152,16 +143,12 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	}
 	c.mu.Unlock()
-	if p := cfg.ProbeInterval; p >= 0 {
-		if p == 0 {
-			p = time.Second
-		}
-		go c.probeLoop(p)
-	}
+	c.ctx, c.cancel = context.WithCancel(context.Background())
 	if g := cfg.GossipInterval; g >= 0 {
 		if g == 0 {
 			g = time.Second
 		}
+		c.done = make(chan struct{})
 		go c.gossipLoop(g)
 	}
 	return c, nil
@@ -172,7 +159,7 @@ func New(cfg Config) (*Cluster, error) {
 func (c *Cluster) buildPeerClient(url string) *client.Client {
 	return client.New(url,
 		client.WithHTTPClient(c.hc),
-		// Every peer request — forward, publish, probe or gossip — is
+		// Every peer request — forward, publish, listing or gossip — is
 		// marked internal so the receiver serves local state only (one
 		// hop, never a cycle).
 		client.WithHeader(ForwardedHeader, "1"),
@@ -215,9 +202,15 @@ func (c *Cluster) addMemberLocked(url string) *member {
 	return m
 }
 
-// Close stops the probe and gossip loops. It is idempotent; in-flight
-// forwards finish on their own contexts.
-func (c *Cluster) Close() { c.stopOnce.Do(func() { close(c.stop) }) }
+// Close stops the gossip loop, cancelling an exchange in flight and
+// waiting for the loop to return. It is idempotent; in-flight forwards
+// finish on their own contexts.
+func (c *Cluster) Close() {
+	c.cancel()
+	if c.done != nil {
+		<-c.done
+	}
+}
 
 // Self returns this node's advertised URL.
 func (c *Cluster) Self() string { return c.self }
@@ -264,7 +257,7 @@ func (c *Cluster) memberFor(url string) *member {
 // noteErr records a failed peer attempt made on the caller's ctx.
 // Transport-level failures (never got an HTTP response: resets,
 // refusals, timeouts) feed suspicion so subsequent lookups skip the
-// member immediately — probes and gossip heal it. An *APIError means
+// member immediately — gossip heals it. An *APIError means
 // the peer is up and answering; its content (404, 429) is the caller's
 // business, not a liveness signal. Neither is a failure that ends after
 // ctx is done: that is the caller giving up (a client that hung up on a
@@ -503,49 +496,4 @@ func (c *Cluster) View() (members []MemberView, replication, vnodes int) {
 		members = append(members, mv)
 	}
 	return members, c.repl, c.ring.VNodes()
-}
-
-// Probe health-checks every remote member once — the active suspicion
-// input. A live "ok" marks the member alive; anything else — transport failure or a draining 503 —
-// feeds suspicion (unlike the passive path, an answering peer that
-// reports unhealthy must still leave the ring). Probe results
-// deliberately stay out of the peer_errors counter, which tracks real
-// forwarding work; Health is never retried by the client, so a probe
-// reflects this instant, not a masked flap.
-func (c *Cluster) Probe(ctx context.Context) {
-	c.mu.RLock()
-	ms := make([]*member, 0, len(c.members))
-	for u, m := range c.members {
-		if u != c.self {
-			ms = append(ms, m)
-		}
-	}
-	c.mu.RUnlock()
-	for _, m := range ms {
-		pctx, cancel := context.WithTimeout(ctx, time.Second)
-		err := m.cl.Health(pctx)
-		cancel()
-		c.mu.Lock()
-		if err != nil {
-			c.markSuspectLocked(m, err.Error())
-		} else {
-			c.markAliveLocked(m, m.incarnation)
-		}
-		c.mu.Unlock()
-	}
-	c.tickSuspects()
-}
-
-// probeLoop runs Probe on the configured cadence until Close.
-func (c *Cluster) probeLoop(interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-t.C:
-			c.Probe(context.Background())
-		}
-	}
 }

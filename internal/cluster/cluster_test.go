@@ -14,8 +14,10 @@ import (
 	"compaqt/client"
 )
 
-// fakePeer is a minimal peer: /healthz plus an in-memory image map,
-// recording whether requests arrive with the forwarded mark.
+// fakePeer is a minimal peer: a gossip endpoint that answers 503 while
+// unhealthy (a draining node, or a proxy in front of a dead one) plus
+// an in-memory image map, recording whether requests arrive with the
+// forwarded mark.
 type fakePeer struct {
 	hs        *httptest.Server
 	healthy   atomic.Bool
@@ -31,12 +33,12 @@ func newFakePeer(t *testing.T, images map[string][]byte) *fakePeer {
 	p := &fakePeer{images: images}
 	p.healthy.Store(true)
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/cluster/gossip", func(w http.ResponseWriter, r *http.Request) {
 		if !p.healthy.Load() {
 			http.Error(w, `{"error":"draining"}`, http.StatusServiceUnavailable)
 			return
 		}
-		json.NewEncoder(w).Encode(map[string]string{"status": "ok"})
+		json.NewEncoder(w).Encode(client.GossipResponse{From: p.hs.URL})
 	})
 	mux.HandleFunc("GET /v1/images/{name}", func(w http.ResponseWriter, r *http.Request) {
 		if r.Header.Get(ForwardedHeader) != "" {
@@ -62,15 +64,14 @@ func newFakePeer(t *testing.T, images map[string][]byte) *fakePeer {
 }
 
 // newTestCluster builds a Cluster whose sole remote member is the fake
-// peer. Probing and gossip are disabled so every liveness transition
-// in the tests is explicit.
+// peer. The gossip loop is disabled so every liveness transition in
+// the tests is explicit.
 func newTestCluster(t *testing.T, p *fakePeer, extra ...string) *Cluster {
 	t.Helper()
 	c, err := New(Config{
 		Self:           "http://self.invalid:1",
 		Peers:          append([]string{p.hs.URL}, extra...),
 		Replication:    2,
-		ProbeInterval:  -1,
 		GossipInterval: -1,
 	})
 	if err != nil {
@@ -157,14 +158,20 @@ func TestTransportFailureMarksDownAndProbeHeals(t *testing.T) {
 		t.Fatalf("FetchImage with all peers down = %v, want ErrNoPeer", err)
 	}
 
-	// Probing the dead peer keeps it down and does not touch peerErrors.
+	// Gossip still reaches the dead peer: the failed exchange keeps it
+	// down, records why, and does not touch peerErrors.
 	errsBefore := c.Counters().PeerErrors
-	c.Probe(context.Background())
+	if target, err := c.GossipOnce(context.Background()); target != p.hs.URL || err == nil {
+		t.Fatalf("GossipOnce = %q, %v; want a failed exchange with the dead peer", target, err)
+	}
 	if c.alive(p.hs.URL) {
-		t.Fatal("probe of a dead peer marked it up")
+		t.Fatal("gossip with a dead peer marked it up")
+	}
+	if mv := viewOf(c, p.hs.URL); mv.State != "suspect" || mv.LastErr == "" {
+		t.Fatalf("dead peer shows state %q, last error %q; want suspect with the dial error", mv.State, mv.LastErr)
 	}
 	if errsAfter := c.Counters().PeerErrors; errsAfter != errsBefore {
-		t.Fatalf("probe inflated peerErrors %d -> %d", errsBefore, errsAfter)
+		t.Fatalf("gossip inflated peerErrors %d -> %d", errsBefore, errsAfter)
 	}
 }
 
@@ -173,28 +180,42 @@ func TestProbeMarksDrainingPeerDownThenHeals(t *testing.T) {
 	c := newTestCluster(t, p)
 
 	// Draining: answers HTTP but unhealthy — passive fetch errors would
-	// not down-mark it (it answered), the probe must.
+	// not down-mark it (it answered), a failed gossip exchange must.
 	p.healthy.Store(false)
-	c.Probe(context.Background())
+	if _, err := c.GossipOnce(context.Background()); err == nil {
+		t.Fatal("gossip with a draining (503) peer succeeded")
+	}
 	if c.alive(p.hs.URL) {
-		t.Fatal("probe left a draining (503) peer alive")
+		t.Fatal("gossip left a draining (503) peer alive")
+	}
+	if mv := viewOf(c, p.hs.URL); !strings.Contains(mv.LastErr, "503") {
+		t.Fatalf("draining peer's last error %q, want the 503", mv.LastErr)
+	}
+	if st := c.Counters(); st.PeerErrors != 0 {
+		t.Fatalf("a failed gossip exchange counted %d peer errors, want 0", st.PeerErrors)
 	}
 
 	p.healthy.Store(true)
-	c.Probe(context.Background())
-	if !c.alive(p.hs.URL) {
-		t.Fatal("probe did not heal a recovered peer")
+	if _, err := c.GossipOnce(context.Background()); err != nil {
+		t.Fatal(err)
 	}
-	for _, mv := range firstView(c) {
-		if mv.URL == p.hs.URL && mv.LastErr != "" {
-			t.Fatalf("healed peer still carries LastErr %q", mv.LastErr)
-		}
+	if !c.alive(p.hs.URL) {
+		t.Fatal("gossip did not heal a recovered peer")
+	}
+	if mv := viewOf(c, p.hs.URL); mv.LastErr != "" {
+		t.Fatalf("healed peer still carries LastErr %q", mv.LastErr)
 	}
 }
 
-func firstView(c *Cluster) []MemberView {
+// viewOf returns url's row of the ring view.
+func viewOf(c *Cluster, url string) MemberView {
 	members, _, _ := c.View()
-	return members
+	for _, mv := range members {
+		if mv.URL == url {
+			return mv
+		}
+	}
+	return MemberView{}
 }
 
 func TestPublishImage(t *testing.T) {

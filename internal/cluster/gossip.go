@@ -11,19 +11,21 @@ import (
 
 // Membership is SWIM-flavored gossip piggybacked on the HTTP plane:
 // every node keeps a versioned member table — URL, incarnation
-// number, alive/suspect/dead state — and periodically push-pulls it
-// with one peer via POST /v1/cluster/gossip. Joining takes one seed
-// URL (-join) rather than the full member list: the first exchange
-// pulls the whole table and the ring grows with each newly-learned
-// member. Suspicion is fed by two local signals (a failed /healthz
-// probe, a transport-level forward failure) and by gossip from other
-// members; only the member itself can refute it, by bumping its own
-// incarnation when it learns it is suspected. A suspect member that
-// stays silent past SuspectTimeout is declared dead. The ring's point
-// set only ever changes on join (a URL never seen before);
-// alive/suspect/dead flips are a liveness predicate over an unchanged
-// ring, so a flap storm re-routes keys without ever rebuilding
-// placement.
+// number, alive/suspect state — and periodically push-pulls it with
+// one peer via POST /v1/cluster/gossip. That exchange is also the
+// active liveness check, as in SWIM: its target rotates through every
+// remote member, down ones included, and a failed exchange marks the
+// target suspect while a successful one marks it alive. Joining takes
+// one seed URL (-join) rather than the full member list: the first
+// exchange pulls the whole table and the ring grows with each
+// newly-learned member. Suspicion is fed by two local signals (a
+// failed exchange, a transport-level failure of a forward, publish or
+// listing) and by gossip from other members; only the member itself
+// can refute it, by bumping its own incarnation when it learns it is
+// suspected. The ring's point set only ever changes on join (a URL
+// never seen before); alive/suspect flips are a liveness predicate
+// over an unchanged ring, so a flap storm re-routes keys without ever
+// rebuilding placement.
 
 // State is one member's liveness as this node believes it.
 type State uint8
@@ -31,15 +33,14 @@ type State uint8
 const (
 	// StateAlive members serve their ring arcs.
 	StateAlive State = iota
-	// StateSuspect members failed a probe, a forward, or were gossiped
-	// suspect; the ring skips them but they can refute.
+	// StateSuspect members failed a gossip exchange or a forward, or
+	// were gossiped suspect; the ring skips them, gossip still reaches
+	// them, and only a higher self-incarnation or a successful exchange
+	// brings them back.
 	StateSuspect
-	// StateDead members stayed suspect past SuspectTimeout (or were
-	// gossiped dead). Only a higher self-incarnation brings them back.
-	StateDead
 )
 
-var stateNames = [...]string{"alive", "suspect", "dead"}
+var stateNames = [...]string{"alive", "suspect"}
 
 func (s State) String() string {
 	if int(s) < len(stateNames) {
@@ -48,21 +49,20 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", uint8(s))
 }
 
-// parseState maps the wire form back; unknown strings are treated as
-// suspect — a conservative reading of a table row we cannot interpret.
+// parseState maps the wire form back; unknown strings (an older
+// node's "dead" among them) are treated as suspect — a conservative
+// reading of a table row we cannot interpret.
 func parseState(s string) State {
 	switch s {
 	case "alive":
 		return StateAlive
-	case "dead":
-		return StateDead
 	}
 	return StateSuspect
 }
 
 // severity orders states at equal incarnation: a more severe claim
-// wins (dead > suspect > alive), because only the member itself can
-// overrule it — by incrementing its incarnation.
+// wins (suspect > alive), because only the member itself can overrule
+// it — by incrementing its incarnation.
 func severity(s State) int { return int(s) }
 
 // member is one row of the table: identity, the resilient client
@@ -71,10 +71,9 @@ type member struct {
 	url string
 	cl  *client.Client
 
-	state        State
-	incarnation  uint64
-	suspectSince time.Time
-	lastErr      string
+	state       State
+	incarnation uint64
+	lastErr     string
 }
 
 // table builds the wire form of the member table, self included,
@@ -119,7 +118,7 @@ func (c *Cluster) HandleGossip(req client.GossipRequest) (client.GossipResponse,
 // mergeTable folds a received member table into ours under the SWIM
 // rules: a higher incarnation always wins; at equal incarnation the
 // more severe state wins. Claims about ourselves are never adopted —
-// hearing that we are suspect or dead triggers a refutation instead:
+// hearing that we are suspect triggers a refutation instead:
 // our incarnation jumps past the claim and the next exchanges spread
 // the correction.
 func (c *Cluster) mergeTable(entries []client.GossipMember) {
@@ -159,23 +158,20 @@ func (c *Cluster) mergeTable(entries []client.GossipMember) {
 	}
 }
 
-// setStateLocked applies a state transition, tracking suspicion age.
-// Callers hold c.mu.
+// setStateLocked applies a state transition; becoming alive clears
+// the last error. Callers hold c.mu.
 func (c *Cluster) setStateLocked(m *member, st State) {
 	if m.state == st {
 		return
 	}
 	m.state = st
-	switch st {
-	case StateSuspect:
-		m.suspectSince = time.Now()
-	case StateAlive:
+	if st == StateAlive {
 		m.lastErr = ""
 	}
 }
 
-// markAliveLocked records direct evidence that m is up (a successful
-// probe, a gossip exchange it initiated) at the given incarnation.
+// markAliveLocked records direct evidence that m is up (a gossip
+// exchange with it, either side initiating) at the given incarnation.
 func (c *Cluster) markAliveLocked(m *member, inc uint64) {
 	if inc > m.incarnation {
 		m.incarnation = inc
@@ -192,45 +188,26 @@ func (c *Cluster) markSuspectLocked(m *member, cause string) {
 	}
 }
 
-// tickSuspects promotes members suspect for longer than SuspectTimeout
-// to dead. It is called from the gossip and probe loops; tests call it
-// directly.
-func (c *Cluster) tickSuspects() {
-	timeout := c.suspectTimeout
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, m := range c.members {
-		if m.url == c.self || m.state != StateSuspect {
-			continue
-		}
-		if time.Since(m.suspectSince) >= timeout {
-			c.setStateLocked(m, StateDead)
-		}
-	}
-}
+// gossipRoundTimeout bounds one exchange. A target that runs it out
+// (a frozen process whose socket still accepts) has failed the round.
+const gossipRoundTimeout = time.Second
 
 // GossipOnce runs one push-pull exchange with one peer: send our
-// table, merge the response. Targets rotate round-robin through the
-// non-dead remote members; when every remote member is dead the sweep
-// includes them anyway — gossiping at a corpse is the only way to
-// notice it rebooted before it gossips at us. Returns the peer asked,
-// or "" when there was nobody to ask.
+// table, merge the response. Targets rotate round-robin through every
+// remote member, suspect ones included, so a down member is re-tried
+// once per rotation. The exchange is the active liveness check: any
+// failure (no connection, the one-second bound run out, a non-2xx
+// answer) marks the target suspect with its last error, outside
+// peer_errors; a success marks it alive. A failure after ctx is done
+// (Close) marks nothing. Returns the peer asked, or "" when there was
+// nobody to ask.
 func (c *Cluster) GossipOnce(ctx context.Context) (string, error) {
 	c.mu.Lock()
-	var candidates []string
-	var deadOnly []string
-	for _, m := range c.members {
-		if m.url == c.self {
-			continue
+	candidates := make([]string, 0, len(c.members))
+	for u := range c.members {
+		if u != c.self {
+			candidates = append(candidates, u)
 		}
-		if m.state == StateDead {
-			deadOnly = append(deadOnly, m.url)
-			continue
-		}
-		candidates = append(candidates, m.url)
-	}
-	if len(candidates) == 0 {
-		candidates = deadOnly
 	}
 	if len(candidates) == 0 {
 		c.mu.Unlock()
@@ -241,42 +218,40 @@ func (c *Cluster) GossipOnce(ctx context.Context) (string, error) {
 	c.gossipIdx++
 	m := c.members[target]
 	req := client.GossipRequest{From: c.self, Members: c.tableLocked()}
-	cl := m.cl
 	c.mu.Unlock()
 
-	resp, err := cl.Gossip(ctx, req)
+	rctx, cancel := context.WithTimeout(ctx, gossipRoundTimeout)
+	resp, err := m.cl.Gossip(rctx, req)
+	cancel()
 	c.cmu.Lock()
 	c.st.GossipRounds++
 	c.cmu.Unlock()
 	if err != nil {
-		// ctx is gossipLoop's bound on one round, so a peer that runs
-		// it out has failed the round: record it as such.
-		c.noteErr(context.Background(), m, err)
+		if ctx.Err() == nil {
+			c.mu.Lock()
+			c.markSuspectLocked(m, err.Error())
+			c.mu.Unlock()
+		}
 		return target, err
 	}
 	c.mergeTable(resp.Members)
 	c.mu.Lock()
-	if mm := c.members[target]; mm != nil {
-		c.markAliveLocked(mm, mm.incarnation)
-	}
+	c.markAliveLocked(m, m.incarnation)
 	c.mu.Unlock()
 	return target, nil
 }
 
-// gossipLoop drives GossipOnce and the suspect clock on the configured
-// cadence until Close.
+// gossipLoop drives GossipOnce on the configured cadence until Close.
 func (c *Cluster) gossipLoop(interval time.Duration) {
+	defer close(c.done)
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
 		select {
-		case <-c.stop:
+		case <-c.ctx.Done():
 			return
 		case <-t.C:
-			ctx, cancel := context.WithTimeout(context.Background(), interval+time.Second)
-			c.GossipOnce(ctx)
-			cancel()
-			c.tickSuspects()
+			c.GossipOnce(c.ctx)
 		}
 	}
 }

@@ -1,14 +1,21 @@
 // Gossip-membership unit tests: the SWIM merge rules (incarnation
 // precedence, severity at equal incarnation, refutation of claims
-// about self), the join path growing the ring, the suspect clock, and
-// the invariant that liveness flips never rebuild the ring. Everything
-// here drives the state machine directly — no timers, no background
-// loops — so each transition is the one the test caused.
+// about self), the join path growing the ring, the invariant that
+// liveness flips never rebuild the ring, and the exchange as the
+// liveness check (its one-second bound, and Close cancelling it).
+// Apart from the last, everything here drives the state machine
+// directly — no timers, no background loops — so each transition is
+// the one the test caused.
 package cluster
 
 import (
 	"context"
+	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -29,9 +36,6 @@ func setPeerState(c *Cluster, url string, st State) {
 	c.mu.Lock()
 	if m := c.members[url]; m != nil {
 		m.state = st
-		if st == StateSuspect {
-			m.suspectSince = time.Now()
-		}
 	}
 	c.mu.Unlock()
 }
@@ -40,9 +44,6 @@ func peerState(c *Cluster, url string) (State, uint64) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	m := c.members[url]
-	if m == nil {
-		return StateDead, 0
-	}
 	return m.state, m.incarnation
 }
 
@@ -64,11 +65,11 @@ func TestGossipStaleIncarnationIgnored(t *testing.T) {
 	c.markAliveLocked(c.members[p.hs.URL], 5)
 	c.mu.Unlock()
 
-	// A stale rumor at incarnation 3 — even a maximally severe one —
-	// must not move the needle.
-	c.mergeTable([]client.GossipMember{{URL: p.hs.URL, Incarnation: 3, State: "dead"}})
+	// A stale rumor at incarnation 3 — even a suspect one — must not
+	// move the needle.
+	c.mergeTable([]client.GossipMember{{URL: p.hs.URL, Incarnation: 3, State: "suspect"}})
 	if st, inc := peerState(c, p.hs.URL); st != StateAlive || inc != 5 {
-		t.Fatalf("stale dead rumor applied: state=%v inc=%d, want alive inc=5", st, inc)
+		t.Fatalf("stale suspect rumor applied: state=%v inc=%d, want alive inc=5", st, inc)
 	}
 
 	// At the same incarnation the more severe claim wins...
@@ -117,7 +118,7 @@ func TestGossipSelfClaimTriggersRefutation(t *testing.T) {
 		}
 	}
 	// A stale claim below our incarnation is ignored outright.
-	c.mergeTable([]client.GossipMember{{URL: c.Self(), Incarnation: 1, State: "dead"}})
+	c.mergeTable([]client.GossipMember{{URL: c.Self(), Incarnation: 1, State: "suspect"}})
 	c.mu.RLock()
 	inc = c.selfInc
 	c.mu.RUnlock()
@@ -203,33 +204,13 @@ func TestFlapStormLeavesRingAlone(t *testing.T) {
 	}
 }
 
-func TestSuspectTimeoutPromotesToDead(t *testing.T) {
-	p := newFakePeer(t, nil)
-	c, err := New(Config{
-		Self:           "http://self.invalid:1",
-		Peers:          []string{p.hs.URL},
-		ProbeInterval:  -1,
-		GossipInterval: -1,
-		SuspectTimeout: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-
-	c.mu.Lock()
-	c.markSuspectLocked(c.members[p.hs.URL], "probe failed")
-	c.mu.Unlock()
-	time.Sleep(5 * time.Millisecond)
-	c.tickSuspects()
-	if st, _ := peerState(c, p.hs.URL); st != StateDead {
-		t.Fatalf("suspect past timeout = %v, want dead", st)
-	}
-	// Dead is not forever: the member's own refutation (alive at a
-	// higher incarnation) resurrects it.
-	c.mergeTable([]client.GossipMember{{URL: p.hs.URL, Incarnation: 1, State: "alive"}})
-	if st, _ := peerState(c, p.hs.URL); st != StateAlive {
-		t.Fatalf("refutation did not resurrect a dead member: %v", st)
+// TestGossipUnknownStateReadsAsSuspect: a row this node cannot
+// interpret, an older node's "dead" among them, reads as suspect.
+func TestGossipUnknownStateReadsAsSuspect(t *testing.T) {
+	for in, want := range map[string]State{"alive": StateAlive, "suspect": StateSuspect, "dead": StateSuspect, "": StateSuspect} {
+		if got := parseState(in); got != want {
+			t.Errorf("parseState(%q) = %v, want %v", in, got, want)
+		}
 	}
 }
 
@@ -252,5 +233,79 @@ func TestPublishSkipsDownPeer(t *testing.T) {
 	}
 	if n := c.PublishImage(context.Background(), "img", 2, []byte("wire")); n != 1 {
 		t.Fatalf("publish to the healed peer landed on %d peers, want 1", n)
+	}
+}
+
+// blockingGossipPeer is a peer whose gossip endpoint holds every
+// exchange until the exchange's own context ends. entered receives
+// once per exchange; released is closed when the first one's context
+// is done.
+func blockingGossipPeer(t *testing.T) (url string, entered, released chan struct{}) {
+	t.Helper()
+	entered = make(chan struct{}, 1)
+	released = make(chan struct{})
+	var once sync.Once
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-r.Context().Done()
+		once.Do(func() { close(released) })
+	}))
+	t.Cleanup(hs.Close)
+	return hs.URL, entered, released
+}
+
+// TestGossipRoundBoundMarksFrozenPeerSuspect: a peer that accepts the
+// exchange and never answers (a SIGSTOPped process) fails the round
+// when its one-second bound runs out, and is marked suspect with the
+// deadline as its last error.
+func TestGossipRoundBoundMarksFrozenPeerSuspect(t *testing.T) {
+	peer, _, _ := blockingGossipPeer(t)
+	c, err := New(Config{Self: "http://self.invalid:1", Peers: []string{peer}, GossipInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+
+	start := time.Now()
+	if _, err := c.GossipOnce(context.Background()); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("GossipOnce with a frozen peer = %v, want the round's deadline", err)
+	}
+	if d := time.Since(start); d < gossipRoundTimeout || d > gossipRoundTimeout+time.Second {
+		t.Fatalf("round took %v, want about %v", d, gossipRoundTimeout)
+	}
+	if mv := viewOf(c, peer); mv.Alive || mv.LastErr == "" {
+		t.Fatalf("frozen peer after a timed-out round: alive=%v last error %q; want suspect with the deadline", mv.Alive, mv.LastErr)
+	}
+}
+
+// TestGossipCloseCancelsRound: Close ends an exchange in flight. The
+// peer's gossip endpoint never answers; once Close returns, the
+// exchange's request must be gone within 100 ms, not left to the
+// round's bound, and the peer, which did not fail, stays alive.
+func TestGossipCloseCancelsRound(t *testing.T) {
+	peer, entered, released := blockingGossipPeer(t)
+	c, err := New(Config{Self: "http://self.invalid:1", Peers: []string{peer}, GossipInterval: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		c.Close()
+		t.Fatal("no gossip round reached the peer")
+	}
+	start := time.Now()
+	c.Close()
+	select {
+	case <-released:
+	case <-time.After(100*time.Millisecond - time.Since(start)):
+		t.Fatalf("the exchange's request outlived Close by over 100 ms")
+	}
+	if !c.alive(peer) {
+		t.Fatal("an exchange Close cancelled marked the peer suspect")
 	}
 }

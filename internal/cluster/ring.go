@@ -10,12 +10,13 @@
 // survives a node loss.
 //
 // Membership is gossiped: nodes -join a seed and push-pull a versioned
-// SWIM-style member table (alive/suspect/dead with incarnation
-// numbers), and the ring grows as never-before-seen members arrive.
-// Liveness is orthogonal to placement: peers are health-probed and
-// marked suspect on transport failures, a suspect silent past the
-// timeout is declared dead, and a down peer is skipped by every ring
-// lookup — without rebuilding the ring — until it heals. The tier
+// SWIM-style member table (alive/suspect with incarnation numbers),
+// and the ring grows as never-before-seen members arrive. Liveness is
+// orthogonal to placement: as in SWIM, the gossip exchange is the
+// active check, so a peer that fails one (or a forward's transport) is
+// marked suspect, and a suspect peer is skipped by every ring lookup —
+// without rebuilding the ring — until an exchange reaches it again or
+// it refutes the suspicion. The tier
 // self-heals by anti-entropy repair: every name binding carries a
 // version, and each node pulls, from whichever live peer lists it, the
 // newest binding of every name it owns or holds a copy of — what a

@@ -62,11 +62,14 @@ func TestProcClusterChaosPartitionHeals(t *testing.T) {
 
 	// Partition node2 with SIGSTOP — the process is alive but frozen,
 	// the nastiest failure mode: connections accept and then hang.
-	// Wait until both survivors' probes have marked it down so
-	// forwards stop routing at the frozen socket.
+	// Wait until both survivors' gossip has marked it down (a round
+	// with it runs out its 1s bound) so forwards stop routing at the
+	// frozen socket.
+	stopped := time.Now()
 	nodes[2].signal(t, syscall.SIGSTOP)
 	waitPeerDown(t, nodes[0], urls[2])
 	waitPeerDown(t, nodes[1], urls[2])
+	t.Logf("SIGSTOP detection: %v until both survivors saw node2 down", time.Since(stopped))
 
 	for i := shapesN; i < shapesN+extraN; i++ {
 		compileVia(t, nodes[i%2], names[i], specSets[i], wantBytes[i])
@@ -76,11 +79,13 @@ func TestProcClusterChaosPartitionHeals(t *testing.T) {
 
 	// Heal: wake the frozen node, then stop fault injection everywhere
 	// (SIGUSR1) without restarting a single process.
+	continued := time.Now()
 	nodes[2].signal(t, syscall.SIGCONT)
 	for _, n := range nodes {
 		n.signal(t, syscall.SIGUSR1)
 	}
 	waitConverged(t, nodes, 3, 30*time.Second)
+	t.Logf("re-admission: %v from SIGCONT until every view agreed", time.Since(continued))
 
 	deadline := time.Now().Add(30 * time.Second)
 	for {

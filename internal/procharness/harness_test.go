@@ -102,8 +102,8 @@ type procNode struct {
 	logF *os.File
 }
 
-// nodeOpts shapes one spawn. The harness pins aggressive liveness
-// cadences (100ms probe and gossip, 1s suspect timeout, 300ms repair)
+// nodeOpts shapes one spawn. The harness pins aggressive cadences
+// (100ms gossip, which is also the liveness check, and 300ms repair)
 // so convergence is seconds, not minutes.
 type nodeOpts struct {
 	name  string // log-file stem
@@ -138,9 +138,7 @@ func startNode(t *testing.T, o nodeOpts) *procNode {
 		"-self", o.self,
 		"-replication", strconv.Itoa(o.repl),
 		"-parallelism", "2",
-		"-cluster-probe", "100ms",
 		"-gossip-interval", "100ms",
-		"-suspect-timeout", "1s",
 		"-repair-interval", "300ms",
 		"-store-dir", o.store,
 	}
@@ -214,7 +212,9 @@ func waitHealthy(t *testing.T, n *procNode) {
 }
 
 // waitConverged polls every node's ring view until all of them agree
-// on `members` members, all alive.
+// on `members` members, all alive. It polls every 10ms, well inside
+// one 100ms gossip interval, so the re-admission times the tests log
+// resolve one round.
 func waitConverged(t *testing.T, nodes []*procNode, members int, within time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(within)
@@ -240,7 +240,7 @@ func waitConverged(t *testing.T, nodes []*procNode, members int, within time.Dur
 		if ok {
 			return
 		}
-		time.Sleep(100 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
 	}
 	for _, n := range nodes {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)

@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// waitPeerDown polls observer's ring view until peer is no longer
-// believed alive.
+// waitPeerDown polls observer's ring view every 10ms, well inside one
+// 100ms gossip interval, until peer is no longer believed alive.
 func waitPeerDown(t *testing.T, observer *procNode, peer string) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
@@ -22,7 +22,7 @@ func waitPeerDown(t *testing.T, observer *procNode, peer string) {
 				}
 			}
 		}
-		time.Sleep(50 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("%s never saw %s go down", observer.name, peer)
 }
@@ -73,9 +73,11 @@ func TestProcClusterKillRejoinConverges(t *testing.T) {
 
 	// Kill node2 outright and keep compiling on the survivors. Any
 	// publish aimed at the corpse fails; repair catches it up later.
+	killed := time.Now()
 	nodes[2].kill()
 	waitPeerDown(t, nodes[0], urls[2])
 	waitPeerDown(t, nodes[1], urls[2])
+	t.Logf("SIGKILL detection: %v until both survivors saw node2 down", time.Since(killed))
 	for i := initialN; i < initialN+extraN; i++ {
 		compileVia(t, nodes[i%2], names[i], specSets[i], wantBytes[i])
 	}
@@ -88,7 +90,9 @@ func TestProcClusterKillRejoinConverges(t *testing.T) {
 	// streams in every binding the rejoined node owns and missed.
 	nodes[2] = startNode(t, opts[2])
 	waitHealthy(t, nodes[2])
+	answered := time.Now()
 	waitConverged(t, nodes, 3, 20*time.Second)
+	t.Logf("re-admission: %v from the restarted node's /healthz answering until every view agreed", time.Since(answered))
 
 	deadline := time.Now().Add(30 * time.Second)
 	for {

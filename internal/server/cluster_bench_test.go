@@ -49,7 +49,6 @@ func newBenchCluster(b *testing.B) *benchCluster {
 			Cluster: cluster.Config{
 				Self:           urls[i],
 				Peers:          urls,
-				ProbeInterval:  -1,
 				GossipInterval: -1,
 			},
 		}

@@ -2,12 +2,12 @@
 
 // Cluster chaos: the 3-node harness from cluster_test.go re-run with a
 // seeded lossy transport under every inter-peer client — resets, 503s
-// and truncated bodies on forwards, publishes and health probes alike.
+// and truncated bodies on forwards, publishes and gossip alike.
 // The invariants mirror the single-node chaos suite: no corruption
 // ever (a forwarded GET either fails visibly or delivers exactly the
 // in-process compile's bytes), a bounded client-visible failure rate
 // while faults rage (peer retries, successor fallback and fast
-// re-probing absorb them), and full cluster-wide success once the
+// gossip absorb them), and full cluster-wide success once the
 // faults stop.
 package server
 
@@ -44,10 +44,10 @@ func clusterChaosRun(t *testing.T, seed uint64) {
 	})
 	nodes := startClusterNodes(t, 3, 2, func(i int, cfg *Config) {
 		cfg.Cluster.Transport = rt
-		// Re-probe fast: a fault-marked-down peer heals within
+		// Gossip fast: a fault-marked-down peer heals within
 		// milliseconds, so down-states stay transient the way they
-		// would under a production probe loop, just accelerated.
-		cfg.Cluster.ProbeInterval = 5 * time.Millisecond
+		// would under a production gossip loop, just accelerated.
+		cfg.Cluster.GossipInterval = 5 * time.Millisecond
 	})
 	const shapes = 8
 	names, wantBytes, specSets := clusterShapes(t, shapes)
@@ -97,7 +97,7 @@ func clusterChaosRun(t *testing.T, seed uint64) {
 		t.Fatalf("%d corrupted images reached clients through the lossy fabric", n)
 	}
 	// Invariant 2: bounded failures. Peer-level retries, the successor
-	// walk and fast re-probing keep the visible failure rate low even
+	// walk and fast gossip keep the visible failure rate low even
 	// though every inter-peer attempt runs a ~5% gauntlet.
 	total, failed := ops.Load(), fails.Load()
 	if total == 0 {
@@ -112,7 +112,7 @@ func clusterChaosRun(t *testing.T, seed uint64) {
 	// cluster-wide success with byte identity.
 	rt.Stop()
 	for _, n := range nodes {
-		n.srv.cluster.Probe(ctx)
+		gossipRotation(ctx, n.srv.cluster)
 	}
 	for s, name := range names {
 		for _, n := range nodes {

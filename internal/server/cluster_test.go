@@ -2,9 +2,10 @@
 // listeners, exercising consistent-hash routing, publish-on-compile
 // replication, forwarded GETs with write-through fill, warm restart of
 // a member, and re-routing around a killed peer — all with byte
-// identity against in-process reference compiles. Probing and gossip
-// are disabled in the harness so every liveness transition the tests
-// observe is one they caused.
+// identity against in-process reference compiles. The gossip and
+// repair loops are disabled in the harness, and tests step GossipOnce
+// and RepairOnce, so every liveness transition the tests observe is
+// one they caused.
 package server
 
 import (
@@ -74,7 +75,6 @@ func startClusterNode(t *testing.T, ln net.Listener, self string, peers []string
 			Self:           self,
 			Peers:          append([]string(nil), peers...),
 			Replication:    repl,
-			ProbeInterval:  -1, // tests drive Probe explicitly
 			GossipInterval: -1, // tests drive GossipOnce explicitly
 		},
 	}
@@ -95,6 +95,14 @@ func startClusterNode(t *testing.T, ln net.Listener, self string, peers []string
 		srv.Close()
 	})
 	return node
+}
+
+// gossipRotation steps one gossip exchange per remote member of c, so
+// every member, down ones included, is checked once.
+func gossipRotation(ctx context.Context, c *cluster.Cluster) {
+	for i := 1; i < c.Counters().Members; i++ {
+		c.GossipOnce(ctx)
+	}
 }
 
 // clusterShapes compiles reference images for s distinct workload
@@ -399,9 +407,9 @@ func TestClusterReroutesAroundKilledPeer(t *testing.T) {
 		}
 	}
 
-	// A probe sweep settles liveness deterministically, and the wire
-	// view from a survivor must report the victim down.
-	nodes[0].srv.cluster.Probe(ctx)
+	// A gossip rotation settles liveness deterministically, and the
+	// wire view from a survivor must report the victim down.
+	gossipRotation(ctx, nodes[0].srv.cluster)
 	v, err := nodes[0].cl.ClusterView(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -411,7 +419,7 @@ func TestClusterReroutesAroundKilledPeer(t *testing.T) {
 		switch p.URL {
 		case nodes[victim].url:
 			if p.Alive {
-				t.Error("killed peer still reported alive after a probe sweep")
+				t.Error("killed peer still reported alive after a gossip rotation")
 			}
 			downSeen = true
 		default:

@@ -4,7 +4,7 @@
 // restarted replica missed, and bringing every replica and fill to the
 // newest binding of a rebound name without ever rolling it back; and
 // the scope=cluster stats fan-out.
-// Gossip, probing and repair are driven explicitly so every convergence
+// Gossip and repair are driven explicitly so every convergence
 // step is one the test caused, except where a test checks the
 // background repair loop itself.
 package server
@@ -21,6 +21,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,7 +46,6 @@ func startJoinNode(t *testing.T, self string, join []string, repl int, storeDir 
 			Self:           self,
 			Peers:          join,
 			Replication:    repl,
-			ProbeInterval:  -1,
 			GossipInterval: -1,
 		},
 	}
@@ -166,6 +166,78 @@ func TestGossipEndpointRejectsSelf(t *testing.T) {
 	var apiErr *client.APIError
 	if err == nil || !errors.As(err, &apiErr) || apiErr.StatusCode != 400 {
 		t.Fatalf("self-gossip = %v, want a 400 API error", err)
+	}
+}
+
+// cutTransport is one node's peer transport across a 2|2 split: while
+// cut is set it refuses every request to a node of the other half.
+type cutTransport struct {
+	half map[string]int // member host -> half
+	from int
+	cut  *atomic.Bool
+}
+
+func (t cutTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if t.cut.Load() && t.half[r.URL.Host] != t.from {
+		if r.Body != nil {
+			r.Body.Close()
+		}
+		return nil, fmt.Errorf("dial %s: partitioned", r.URL.Host)
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestClusterGossipHealsSplitPartition: gossip alone heals a split that
+// outlasts any suspicion. Four nodes split 2|2 and gossip until each
+// half counts only itself live; once the cut lifts, the rotation
+// reaches the suspect members, and every node must count all four
+// live within two rotations (six exchanges per node).
+func TestClusterGossipHealsSplitPartition(t *testing.T) {
+	var cut atomic.Bool
+	cut.Store(true)
+	half := map[string]int{}
+	nodes := startClusterNodes(t, 4, 1, func(i int, cfg *Config) {
+		half[strings.TrimPrefix(cfg.Cluster.Self, "http://")] = i / 2
+		cfg.Cluster.Transport = cutTransport{half: half, from: i / 2, cut: &cut}
+	})
+	ctx := context.Background()
+	liveCounts := func() []int {
+		out := make([]int, len(nodes))
+		for i, n := range nodes {
+			out[i] = n.srv.cluster.Counters().Live
+		}
+		return out
+	}
+	allLive := func(want int) bool {
+		for _, l := range liveCounts() {
+			if l != want {
+				return false
+			}
+		}
+		return true
+	}
+	round := func() {
+		for _, n := range nodes {
+			n.srv.cluster.GossipOnce(ctx)
+		}
+	}
+
+	for r := 0; !allLive(2); r++ {
+		if r == 6 {
+			t.Fatalf("two rotations under the cut left live counts %v, want 2 on every node", liveCounts())
+		}
+		round()
+	}
+	cut.Store(false)
+	for r := 1; ; r++ {
+		round()
+		if allLive(4) {
+			t.Logf("healed after %d exchanges per node", r)
+			return
+		}
+		if r == 6 {
+			t.Fatalf("two rotations after the cut lifted left live counts %v, want 4 on every node", liveCounts())
+		}
 	}
 }
 
@@ -371,7 +443,7 @@ func TestClusterHintedHandoffReplaysAfterRestart(t *testing.T) {
 // catch-up. Both owners hold a name; one is killed, the name is
 // recompiled from a different batch on the surviving owner, and the
 // killed owner restarts on its old store, still bound to the old
-// binding. The survivor's probe heals it, and the survivor repairs
+// binding. The survivor's gossip heals it, and the survivor repairs
 // first: it sees the old binding listed, and must keep its own, which
 // is newer. The restarted owner's repair then pulls the rebind, and
 // every node must end on the new bytes.
@@ -400,7 +472,7 @@ func TestClusterRebindDuringOutageSurvivesRepair(t *testing.T) {
 		t.Fatalf("re-binding %s: %v", self, err)
 	}
 	restarted := startClusterNode(t, ln, self, peers, 2, victim, withStores)
-	nodes[survivor].srv.cluster.Probe(ctx)
+	gossipRotation(ctx, nodes[survivor].srv.cluster)
 
 	if n := nodes[survivor].srv.RepairOnce(ctx); n != 0 {
 		t.Errorf("surviving owner repaired %d images, want 0 (it holds the newest binding)", n)
@@ -589,7 +661,6 @@ func TestClusterRepairCountsInvalidPeerImage(t *testing.T) {
 			Self:           "http://self.invalid:1",
 			Peers:          []string{peer.URL},
 			Replication:    2,
-			ProbeInterval:  -1,
 			GossipInterval: -1,
 		},
 	})
@@ -646,7 +717,6 @@ func TestClusterCloseCancelsRepairRound(t *testing.T) {
 		Cluster: cluster.Config{
 			Self:           "http://self.invalid:1",
 			Peers:          []string{peer.URL},
-			ProbeInterval:  -1,
 			GossipInterval: -1,
 		},
 	})

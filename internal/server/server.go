@@ -737,8 +737,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Service exposes the default-configuration service (tests, embedders).
 func (s *Server) Service() *compaqt.Service { return s.svc }
 
-// Close stops the cluster gossip/probe/repair loops, cancelling a
-// repair round in flight and waiting for it to end, and releases the
+// Close stops the cluster's gossip and repair loops, cancelling a
+// round in flight in each and waiting for it to end, and releases the
 // server's persistent store (flushing its manifest and releasing the
 // directory lock), so a successor process can open the same directory
 // immediately. It is idempotent and safe without either; Run calls it
