@@ -304,7 +304,8 @@ type PeerStatus struct {
 	Alive bool `json:"alive"`
 	// State is the gossip membership state: "alive" or "suspect". A
 	// member that stays unreachable stays "suspect". Incarnation is
-	// the member's gossip version — only the member itself bumps it,
+	// the member's gossip version: it starts at the member's start
+	// time in Unix nanoseconds, and only the member itself bumps it,
 	// to refute suspicion.
 	State       string `json:"state,omitempty"`
 	Incarnation uint64 `json:"incarnation,omitempty"`

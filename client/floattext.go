@@ -17,6 +17,11 @@ import (
 // "The Schubfach way to render doubles", 2020). Both read one table of
 // 128-bit powers of ten, and both hand the rare input they cannot
 // decide exactly to strconv, which the tests keep as their oracle.
+// Digits move eight at a time both ways, as in Lemire's paper: the
+// decoder tests and folds eight digit bytes per 64-bit word
+// (isEightDigits, parseEightDigits), and the encoder renders each
+// eight digits of a mantissa into one word by multiply–shift
+// (eightDigits) and stores it whole.
 
 // pow10Min and pow10Max bound the exponents pow10Table covers.
 const (
@@ -281,46 +286,108 @@ func roundToOdd(g1, g0, cp uint64) uint64 {
 
 // appendDecimal appends m × 10^e, for m > 0 without trailing zeros, in
 // json.Marshal's layout: with expForm, d.ddde±x with no leading zero in
-// x; otherwise the plain decimal.
+// x; otherwise the plain decimal. The digits are rendered once, eight
+// to a store, and copied straight to their place around the point.
 func appendDecimal(b []byte, m uint64, e int, expForm bool) []byte {
-	i := len(b)
-	b = strconv.AppendUint(b, m, 10)
-	n := len(b) - i
-	if !expForm {
-		return point(b, i, n, n+e)
+	var buf [24]byte
+	n := putDigits(&buf, m)
+	d := buf[len(buf)-n:]
+	if expForm {
+		b = append(b, d[0])
+		if n > 1 {
+			b = append(b, '.')
+			b = append(b, d[1:]...)
+		}
+		b = append(b, 'e')
+		x := e + n - 1
+		if x >= 0 {
+			b = append(b, '+')
+		}
+		return strconv.AppendInt(b, int64(x), 10)
 	}
-	b = append(point(b, i, n, 1), 'e')
-	x := e + n - 1
-	if x >= 0 {
-		b = append(b, '+')
+	switch dp := n + e; {
+	case dp <= 0: // 0.000ddd
+		b = append(b, "0."...)
+		b = append(b, zeros[:-dp]...)
+		return append(b, d...)
+	case dp < n: // ddd.ddd
+		b = append(b, d[:dp]...)
+		b = append(b, '.')
+		return append(b, d[dp:]...)
+	default: // ddd000
+		b = append(b, d...)
+		return append(b, zeros[:dp-n]...)
 	}
-	return strconv.AppendInt(b, int64(x), 10)
 }
 
-// point puts the decimal point after the first dp of the n digits that
-// end b at b[i:]: 0.000ddd for dp <= 0, ddd.ddd, or ddd000 with no
-// point.
-func point(b []byte, i, n, dp int) []byte {
-	switch {
-	case dp <= 0:
-		// The digits move right past "0." and -dp zeros.
-		z := 2 - dp
-		b = append(b, make([]byte, z)...)
-		copy(b[i+z:], b[i:i+n])
-		b[i], b[i+1] = '0', '.'
-		for j := i + 2; j < i+z; j++ {
-			b[j] = '0'
+// zeros pads 'f' form, which json.Marshal uses from 1e-6 up to 1e21: at
+// most 5 zeros after the point and 20 before it.
+const zeros = "00000000000000000000"
+
+// pow10Uint holds 10^k for k in [0, 19], every power of ten a uint64
+// holds.
+var pow10Uint = [...]uint64{
+	1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
+}
+
+// decimalLen returns the number of decimal digits of m > 0.
+func decimalLen(m uint64) int {
+	// t = ⌊bitlen × log10 2⌋ is the count or one less.
+	t := bits.Len64(m) * 1233 >> 12
+	if m < pow10Uint[t] {
+		return t
+	}
+	return t + 1
+}
+
+// putDigits writes m > 0's decimal digits to the end of buf and returns
+// how many it wrote: the last eight, the eight before them, and the
+// rest, one eightDigits store each.
+func putDigits(buf *[24]byte, m uint64) int {
+	n := decimalLen(m)
+	hi, lo := m/1e8, m%1e8
+	binary.LittleEndian.PutUint64(buf[16:], eightDigits(lo))
+	if n > 8 {
+		binary.LittleEndian.PutUint64(buf[8:], eightDigits(hi%1e8))
+		if n > 16 {
+			binary.LittleEndian.PutUint64(buf[:8], eightDigits(hi/1e8))
 		}
-		return b
-	case dp < n:
-		// The digits after the first dp move right past the point.
-		b = append(b, 0)
-		copy(b[i+dp+1:], b[i+dp:i+n])
-		b[i+dp] = '.'
-		return b
 	}
-	for ; dp > n; dp-- {
-		b = append(b, '0')
-	}
-	return b
+	return n
+}
+
+// eightDigits returns v < 1e8 as eight ASCII digits, zero-padded, in
+// the order a little-endian store writes them: the most significant in
+// the low byte. It splits v by multiply–shift, all lanes at once: into
+// two four-digit halves in 32-bit lanes, each half into two two-digit
+// quarters in 16-bit lanes (x·10486 >> 20 is x/100 for x < 10^4), and
+// each quarter into its two digits in bytes (x·103 >> 10 is x/10 for
+// x < 100). No lane's product reaches into the next.
+func eightDigits(v uint64) uint64 {
+	x := v/10000 | v%10000<<32
+	h := x * 10486 >> 20 & (0x7F<<32 | 0x7F)
+	x = h | (x-h*100)<<16
+	t := x * 103 >> 10 & 0x000F_000F_000F_000F
+	x = t | (x-t*10)<<8
+	return x + 0x3030_3030_3030_3030
+}
+
+// isEightDigits reports whether all eight bytes of x are ASCII digits,
+// 0x30 to 0x39: each high nibble is 3, and stays 3 when 6 is added.
+// Adding 6 carries from one byte into the next only where that byte's
+// high nibble is not 3, which the first test already rejects.
+func isEightDigits(x uint64) bool {
+	return x&0xF0F0_F0F0_F0F0_F0F0|(x+0x0606_0606_0606_0606)&0xF0F0_F0F0_F0F0_F0F0>>4 == 0x3333_3333_3333_3333
+}
+
+// parseEightDigits returns the value of the eight ASCII digits in x, as
+// a little-endian load reads them, the first the most significant. It
+// combines digits into pairs, pairs into fours and fours into the
+// result, each level all lanes at once.
+func parseEightDigits(x uint64) uint64 {
+	x -= 0x3030_3030_3030_3030
+	x = x*10 + x>>8 // two-digit values in bytes 0, 2, 4 and 6
+	const pairs = 0x0000_00FF_0000_00FF
+	return (x&pairs*(100+1000000<<32) + x>>16&pairs*(1+10000<<32)) >> 32
 }

@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -162,6 +163,80 @@ func TestPow10Table(t *testing.T) {
 	} {
 		if got := pow10Table[row.q-pow10Min]; got != [2]uint64{row.lo, row.hi} {
 			t.Errorf("1e%d: {%#x, %#x}, want {%#x, %#x}", row.q, got[0], got[1], row.lo, row.hi)
+		}
+	}
+}
+
+// TestEightDigits holds the eight-digit writer to strconv over every
+// value in [0, 1e8) (-short: a stride through it), and the eight-digit
+// fold to the writer's inverse.
+func TestEightDigits(t *testing.T) {
+	step := uint64(1)
+	if testing.Short() {
+		step = 997
+	}
+	var buf [9]byte
+	var got [8]byte
+	for v := uint64(0); v < 1e8; v += step {
+		want := strconv.AppendUint(buf[:0], 1e8+v, 10)[1:] // zero-padded
+		x := eightDigits(v)
+		binary.LittleEndian.PutUint64(got[:], x)
+		if string(got[:]) != string(want) {
+			t.Fatalf("eightDigits(%d) wrote %q, want %q", v, got, want)
+		}
+		if back := parseEightDigits(x); back != v {
+			t.Fatalf("parseEightDigits(%q) = %d, want %d", got, back, v)
+		}
+	}
+}
+
+// TestPutDigitsAtPowersOfTen holds the digit count and the digit writer
+// to strconv where the count changes: at 10^k − 1 and 10^k, for every k
+// a uint64 holds, and at the largest uint64.
+func TestPutDigitsAtPowersOfTen(t *testing.T) {
+	ms := []uint64{math.MaxUint64}
+	for k := 1; k <= 19; k++ {
+		p := uint64(math.Pow10(k))
+		ms = append(ms, p-1, p)
+	}
+	for _, m := range ms {
+		want := strconv.FormatUint(m, 10)
+		if n := decimalLen(m); n != len(want) {
+			t.Errorf("decimalLen(%d) = %d, want %d", m, n, len(want))
+		}
+		var buf [24]byte
+		n := putDigits(&buf, m)
+		if got := string(buf[len(buf)-n:]); got != want {
+			t.Errorf("putDigits(%d) wrote %q, want %q", m, got, want)
+		}
+	}
+}
+
+// TestIsEightDigits puts each of the 256 byte values in each of the
+// eight lanes of a word of digits: the word must be accepted exactly
+// when the byte is a digit, and every accepted word must fold to
+// strconv.ParseUint's value.
+func TestIsEightDigits(t *testing.T) {
+	for _, base := range []string{"00000000", "99999999", "31415926"} {
+		for lane := range 8 {
+			for c := range 256 {
+				w := []byte(base)
+				w[lane] = byte(c)
+				x := binary.LittleEndian.Uint64(w)
+				if got := isEightDigits(x); got != isDigit(byte(c)) {
+					t.Fatalf("isEightDigits(%q) = %v", w, got)
+				}
+				if !isDigit(byte(c)) {
+					continue
+				}
+				want, err := strconv.ParseUint(string(w), 10, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := parseEightDigits(x); got != want {
+					t.Fatalf("parseEightDigits(%q) = %d, want %d", w, got, want)
+				}
+			}
 		}
 	}
 }

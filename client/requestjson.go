@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/maphash"
@@ -731,7 +732,9 @@ func (d *decoder) number(v *decimal) ([]byte, error) {
 }
 
 // digits moves past a run of at least one digit of the integer part or
-// (frac) the fraction, folding each into v.
+// (frac) the fraction, folding each into v: eight at a time while the
+// next eight bytes are digits that fit under the 19-digit cap, then one
+// at a time.
 func (d *decoder) digits(v *decimal, frac bool, want string) error {
 	data, i := d.data, d.off
 	if frac && v.man == 0 {
@@ -742,6 +745,13 @@ func (d *decoder) digits(v *decimal, frac bool, want string) error {
 		v.exp -= i - d.off
 	}
 	j, end, man := i, min(len(data), i+19-v.nd), v.man
+	for ; i+8 <= end; i += 8 {
+		x := binary.LittleEndian.Uint64(data[i:])
+		if !isEightDigits(x) {
+			break
+		}
+		man = man*1e8 + parseEightDigits(x)
+	}
 	for ; i < end && isDigit(data[i]); i++ {
 		man = man*10 + uint64(data[i]-'0')
 	}

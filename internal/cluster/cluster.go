@@ -111,6 +111,13 @@ type Cluster struct {
 // {Self} ∪ Peers; gossip grows it from there. One retrying client is
 // built per remote member and reused for every forward, publish and
 // gossip exchange.
+//
+// The node's first incarnation is the wall clock, so a node restarted
+// on its old URL starts above any incarnation its peers suspect it at:
+// one direct exchange re-admits it, and a merge with a peer that still
+// suspects the old incarnation cannot undo that. A clock stepped
+// backwards falls back to refutation: the node bumps past a suspect
+// claim when it hears one.
 func New(cfg Config) (*Cluster, error) {
 	if cfg.Self == "" {
 		return nil, fmt.Errorf("cluster: Self (this node's advertised URL) is required with Peers")
@@ -129,7 +136,7 @@ func New(cfg Config) (*Cluster, error) {
 		repl:    repl,
 		hc:      &http.Client{Transport: inner},
 		members: make(map[string]*member),
-		selfInc: 1,
+		selfInc: uint64(max(time.Now().UnixNano(), 1)),
 	}
 	c.mu.Lock()
 	if c.addMemberLocked(cfg.Self) == nil {

@@ -1,15 +1,18 @@
 // Gossip-membership unit tests: the SWIM merge rules (incarnation
 // precedence, severity at equal incarnation, refutation of claims
-// about self), the join path growing the ring, the invariant that
-// liveness flips never rebuild the ring, and the exchange as the
-// liveness check (its one-second bound, and Close cancelling it).
+// about self), a restarted node's re-admission, the join path growing
+// the ring, the invariant that liveness flips never rebuild the ring,
+// and the exchange as the liveness check (its one-second bound, and
+// Close cancelling it).
 // Apart from the last, everything here drives the state machine
 // directly — no timers, no background loops — so each transition is
 // the one the test caused.
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -95,14 +98,12 @@ func TestGossipSelfClaimTriggersRefutation(t *testing.T) {
 	c := newTestCluster(t, p)
 
 	before := c.Counters()
+	start := selfIncarnation(c)
 	// Someone believes we are suspect at our current incarnation. We do
 	// not adopt it — we jump past it.
-	c.mergeTable([]client.GossipMember{{URL: c.Self(), Incarnation: 1, State: "suspect"}})
-	c.mu.RLock()
-	inc := c.selfInc
-	c.mu.RUnlock()
-	if inc != 2 {
-		t.Fatalf("selfInc = %d after a suspect claim at 1, want 2", inc)
+	c.mergeTable([]client.GossipMember{{URL: c.Self(), Incarnation: start, State: "suspect"}})
+	if inc := selfIncarnation(c); inc != start+1 {
+		t.Fatalf("selfInc = %d after a suspect claim at %d, want %d", inc, start, start+1)
 	}
 	if got := c.Counters().Refutations - before.Refutations; got != 1 {
 		t.Fatalf("refutations advanced by %d, want 1", got)
@@ -113,17 +114,153 @@ func TestGossipSelfClaimTriggersRefutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range resp.Members {
-		if m.URL == c.Self() && (m.State != "alive" || m.Incarnation != 2) {
-			t.Fatalf("self row after refutation = %+v, want alive@2", m)
+		if m.URL == c.Self() && (m.State != "alive" || m.Incarnation != start+1) {
+			t.Fatalf("self row after refutation = %+v, want alive@%d", m, start+1)
 		}
 	}
 	// A stale claim below our incarnation is ignored outright.
-	c.mergeTable([]client.GossipMember{{URL: c.Self(), Incarnation: 1, State: "suspect"}})
+	c.mergeTable([]client.GossipMember{{URL: c.Self(), Incarnation: start, State: "suspect"}})
+	if inc := selfIncarnation(c); inc != start+1 {
+		t.Fatalf("stale self claim moved selfInc to %d, want %d", inc, start+1)
+	}
+}
+
+func selfIncarnation(c *Cluster) uint64 {
 	c.mu.RLock()
-	inc = c.selfInc
-	c.mu.RUnlock()
-	if inc != 2 {
-		t.Fatalf("stale self claim moved selfInc to %d, want 2", inc)
+	defer c.mu.RUnlock()
+	return c.selfInc
+}
+
+// memNet is an in-memory peer transport: it hands each gossip request
+// to the Cluster registered under the request's host, with no sockets,
+// and fails a request to a host marked down as a refused dial would.
+type memNet struct {
+	mu    sync.Mutex
+	nodes map[string]*Cluster
+	down  map[string]bool
+}
+
+func (n *memNet) RoundTrip(r *http.Request) (*http.Response, error) {
+	n.mu.Lock()
+	c, down := n.nodes[r.URL.Host], n.down[r.URL.Host]
+	n.mu.Unlock()
+	if c == nil || down {
+		return nil, errors.New("connection refused")
+	}
+	var req client.GossipRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		return nil, err
+	}
+	resp, err := c.HandleGossip(req)
+	if err != nil {
+		return nil, err
+	}
+	body, err := json.Marshal(resp)
+	if err != nil {
+		return nil, err
+	}
+	return &http.Response{
+		StatusCode: http.StatusOK,
+		Header:     http.Header{"Content-Type": {"application/json"}},
+		Body:       io.NopCloser(bytes.NewReader(body)),
+		Request:    r,
+	}, nil
+}
+
+// start builds the node at url on the in-memory network, replacing
+// any node registered there before, with its gossip loop off.
+func (n *memNet) start(t *testing.T, url string, peers []string) *Cluster {
+	t.Helper()
+	c, err := New(Config{Self: url, Peers: peers, GossipInterval: -1, Transport: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	n.mu.Lock()
+	n.nodes[strings.TrimPrefix(url, "http://")] = c
+	n.mu.Unlock()
+	return c
+}
+
+func (n *memNet) setDown(url string, down bool) {
+	n.mu.Lock()
+	n.down[strings.TrimPrefix(url, "http://")] = down
+	n.mu.Unlock()
+}
+
+// gossipWith steps c's gossip rotation until it has exchanged with
+// target, and fails the test on the exchange's outcome if it is not
+// wantErr's.
+func gossipWith(t *testing.T, c *Cluster, target string, wantErr bool) {
+	t.Helper()
+	for range 3 {
+		got, err := c.GossipOnce(context.Background())
+		if got != target {
+			continue
+		}
+		if (err != nil) != wantErr {
+			t.Fatalf("%s gossiping with %s: %v", c.Self(), target, err)
+		}
+		return
+	}
+	t.Fatalf("%s never gossiped with %s", c.Self(), target)
+}
+
+// TestRestartedNodeReadmittedWithoutRefutation restarts a node on its
+// old URL while both of its peers suspect it. One peer re-admits it by
+// a direct exchange, then merges the table of the other, which still
+// suspects it at its old incarnation: the node must stay alive, and it
+// must not have had to refute anything. Every exchange is stepped.
+func TestRestartedNodeReadmittedWithoutRefutation(t *testing.T) {
+	const a, b, n = "http://a.test", "http://b.test", "http://n.test"
+	mn := &memNet{nodes: map[string]*Cluster{}, down: map[string]bool{}}
+	all := []string{a, b, n}
+	ca, cb, cn := mn.start(t, a, all), mn.start(t, b, all), mn.start(t, n, all)
+	for _, c := range []*Cluster{ca, cb, cn} {
+		for range 2 {
+			if _, err := c.GossipOnce(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	old := selfIncarnation(cn)
+
+	// n goes down; each peer's next exchange with it fails and marks
+	// it suspect at the incarnation it had.
+	mn.setDown(n, true)
+	gossipWith(t, ca, n, true)
+	gossipWith(t, cb, n, true)
+	for _, c := range []*Cluster{ca, cb} {
+		if st, inc := peerState(c, n); st != StateSuspect || inc != old {
+			t.Fatalf("%s holds n %v@%d, want suspect@%d", c.Self(), st, inc, old)
+		}
+	}
+
+	// n restarts on its old URL and joins through a: its first exchange
+	// re-admits it there by direct contact.
+	cn = mn.start(t, n, []string{a})
+	mn.setDown(n, false)
+	gossipWith(t, cn, a, false)
+	if !ca.alive(n) {
+		t.Fatal("the restarted node's exchange with a left it suspect there")
+	}
+	// b, still suspecting n at its old incarnation, pushes its table to
+	// a: a must keep n alive.
+	gossipWith(t, cb, a, false)
+	if st, inc := peerState(ca, n); st != StateAlive {
+		t.Fatalf("a's merge with b flipped the restarted node back to %v@%d (it ran at %d before the restart, %d after)",
+			st, inc, old, selfIncarnation(cn))
+	}
+	// b's suspicion reaches n itself: below n's incarnation, it is no
+	// claim to refute.
+	gossipWith(t, cb, n, false)
+	if r := cn.Counters().Refutations; r != 0 {
+		t.Fatalf("the restarted node refuted %d times, want 0", r)
+	}
+	for _, c := range []*Cluster{ca, cb} {
+		if !c.alive(n) {
+			t.Fatalf("%s ends with the restarted node suspect", c.Self())
+		}
 	}
 }
 

@@ -6,21 +6,31 @@ import (
 	"time"
 )
 
+// peerDown reads observer's ring view once and reports whether it
+// holds peer down; a failed read reports false.
+func peerDown(observer *procNode, peer string) bool {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	v, err := observer.cl.ClusterView(ctx)
+	if err != nil {
+		return false
+	}
+	for _, p := range v.Peers {
+		if p.URL == peer && !p.Alive {
+			return true
+		}
+	}
+	return false
+}
+
 // waitPeerDown polls observer's ring view every 10ms, well inside one
 // 100ms gossip interval, until peer is no longer believed alive.
 func waitPeerDown(t *testing.T, observer *procNode, peer string) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		v, err := observer.cl.ClusterView(ctx)
-		cancel()
-		if err == nil {
-			for _, p := range v.Peers {
-				if p.URL == peer && !p.Alive {
-					return
-				}
-			}
+		if peerDown(observer, peer) {
+			return
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
