@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"hash/maphash"
 	"math"
@@ -160,6 +161,258 @@ func TestSampleRepeatsComparedInFull(t *testing.T) {
 	}
 }
 
+// sampleRunTables are arrays built from runs of one value, each a case
+// the run paths must get right on both ends: a flat top, signed zeros
+// (whose bits differ but compare equal), the smallest subnormal, the
+// switch to exponent form at 1e21, and texts that are prefixes of the
+// next value's text, where a copy that ignored the following byte
+// would stop short.
+var sampleRunTables = map[string][]float64{
+	"flat top":        runs(0, 1, 0.018, 1, 0.0371, 2, 0.1234567890123456, 40, 0.0371, 2, 0.018, 1, 0, 1),
+	"signed zeros":    runs(0, 1, minusZero, 1, 0, 1, minusZero, 2, 0, 2, minusZero, 3, 0, 3),
+	"subnormal":       runs(5e-324, 4, -5e-324, 3, 5e-324, 1),
+	"exponent switch": runs(1e20, 3, 1e21, 3, 1e20, 1, 1e21, 1, 1e-6, 2, 1e-7, 2),
+	"prefix traps":    runs(1, 2, 10, 2, 1, 1, 100000, 2, 1, 1, 1.5, 2, 0.5, 2, 0.55, 2, 0.5, 1, -3, 2, -30, 1, 1, 1, 1e21, 2),
+	"single":          runs(0.25, 1),
+	"empty":           {},
+}
+
+var minusZero = math.Copysign(0, -1)
+
+// runs builds an array from (value, count) pairs.
+func runs(pairs ...float64) []float64 {
+	var fs []float64
+	for i := 0; i < len(pairs); i += 2 {
+		for range int(pairs[i+1]) {
+			fs = append(fs, pairs[i])
+		}
+	}
+	return fs
+}
+
+// TestSampleRunsMatchEncodingJSON holds both run paths to the oracles:
+// each table array encodes to json.Marshal's bytes, alone and as the i
+// and q of compile and batch bodies, and decodes through both decoders,
+// into a zero value and into reused scratch, to json.Unmarshal's bits.
+func TestSampleRunsMatchEncodingJSON(t *testing.T) {
+	var scratch sampleRunScratch
+	for name, fs := range sampleRunTables {
+		checkSampleRun(t, name, fs, &scratch)
+	}
+}
+
+// sampleRunScratch is the reused scratch of both decoders.
+type sampleRunScratch struct {
+	compile CompileRequest
+	batch   BatchRequest
+}
+
+// checkSampleRun holds fs to the oracles as TestSampleRunsMatchEncodingJSON
+// describes.
+func checkSampleRun(t *testing.T, name string, fs []float64, scratch *sampleRunScratch) {
+	t.Helper()
+	want, err := json.Marshal(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := appendFloats(nil, fs)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("%s: appendFloats wrote %q, %v; json.Marshal %q", name, got, err, want)
+	}
+	// q is a different array: its runs start mid-run.
+	p := PulseSpec{Gate: "X", SampleRate: 1, I: fs, Q: fs[len(fs)/3:]}
+	compile := &CompileRequest{Pulse: p}
+	batch := &BatchRequest{Pulses: []PulseSpec{p, {Gate: "Y", I: fs[len(fs)/2:], Q: fs}}}
+	for _, body := range [][]byte{
+		checkSampleRunEncode(t, name, compile, appendCompileRequest),
+		checkSampleRunEncode(t, name, batch, appendBatchRequest),
+	} {
+		if err := checkSampleRunDecode(body, scratch); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+func checkSampleRunEncode[T any](t *testing.T, name string, r *T, encode func([]byte, *T) ([]byte, error)) []byte {
+	t.Helper()
+	want, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := encode(nil, r)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("%s: %T encodes as %q, %v; json.Marshal writes %q", name, r, got, err, want)
+	}
+	return want
+}
+
+// checkSampleRunDecode decodes body, a compile or a batch body, as
+// json.Unmarshal does: the same accept or reject and, accepted, every
+// sample array's bits, into a zero value and into scratch. It returns
+// the codec's error, which is the same from both decodes.
+func checkSampleRunDecode(body []byte, scratch *sampleRunScratch) error {
+	if bytes.HasPrefix(body, []byte(`{"pulse":`)) {
+		return checkPulsesDecode(body, DecodeCompileRequest, &scratch.compile,
+			func(r *CompileRequest) []PulseSpec { return []PulseSpec{r.Pulse} })
+	}
+	return checkPulsesDecode(body, DecodeBatchRequest, &scratch.batch,
+		func(r *BatchRequest) []PulseSpec { return r.Pulses })
+}
+
+func checkPulsesDecode[T any](body []byte, decode func([]byte, *T) error, scratch *T, pulses func(*T) []PulseSpec) error {
+	var ref, fresh T
+	refErr := json.Unmarshal(body, &ref)
+	err, scratchErr := decode(body, &fresh), decode(body, scratch)
+	if (err == nil) != (refErr == nil) {
+		return fmt.Errorf("body %q: codec error %v, json.Unmarshal error %v", body, err, refErr)
+	}
+	if fmt.Sprint(err) != fmt.Sprint(scratchErr) {
+		return fmt.Errorf("body %q: error %v into a zero value, %v into scratch", body, err, scratchErr)
+	}
+	if err != nil {
+		return err
+	}
+	want := pulses(&ref)
+	for _, got := range [][]PulseSpec{pulses(&fresh), pulses(scratch)} {
+		if len(got) != len(want) {
+			return fmt.Errorf("body %q: decoded %d pulses, json.Unmarshal %d", body, len(got), len(want))
+		}
+		for i := range want {
+			if !sameBits(got[i].I, want[i].I) || !sameBits(got[i].Q, want[i].Q) {
+				return fmt.Errorf("body %q: pulse %d decoded i %v q %v, json.Unmarshal i %v q %v",
+					body, i, got[i].I, got[i].Q, want[i].I, want[i].Q)
+			}
+		}
+	}
+	return nil
+}
+
+// TestSampleRunsDecodeOnly feeds the decoders sample arrays json.Marshal
+// never writes, where a repeat's text is followed by something other
+// than a separator, or its predecessor was null. Each is accepted or
+// rejected as encoding/json does, and rejected with the error a
+// decoder that converts every sample gives, at the same offset.
+func TestSampleRunsDecodeOnly(t *testing.T) {
+	for _, c := range []struct {
+		body, err string
+	}{
+		{`{"pulse":{"i":[1,1x]}}`, `client: unexpected 'x' at offset 18, want ',' or ']'`},
+		{`{"pulses":[{"i":[1,1x]}]}`, `client: unexpected 'x' at offset 20, want ',' or ']'`},
+		{`{"pulse":{"i":[1,1 1]}}`, `client: unexpected '1' at offset 19, want ',' or ']'`},
+		{`{"pulses":[{"i":[1,1 1]}]}`, `client: unexpected '1' at offset 21, want ',' or ']'`},
+		{`{"pulse":{"i":[1 , 1 ,1]}}`, ``},
+		{`{"pulses":[{"i":[1 , 1 ,1]}]}`, ``},
+		{`{"pulse":{"i":[0,01]}}`, `client: unexpected '1' at offset 18, want ',' or ']'`},
+		{`{"pulses":[{"i":[0,01]}]}`, `client: unexpected '1' at offset 20, want ',' or ']'`},
+		{`{"pulse":{"i":[1,1e5]}}`, ``},
+		{`{"pulses":[{"i":[1,1e5]}]}`, ``},
+		{`{"pulse":{"i":[1,1E5,1.5]}}`, ``},
+		{`{"pulse":{"i":[1,null,1]}}`, ``},
+		{`{"pulses":[{"i":[1,null,1]}]}`, ``},
+		{`{"pulse":{"i":[1,1`, `client: unexpected end of JSON input, want ',' or ']'`},
+		{`{"pulses":[{"i":[1,1`, `client: unexpected end of JSON input, want ',' or ']'`},
+		{`{"pulse":{"i":[0.5,0.5.5]}}`, `client: unexpected '.' at offset 22, want ',' or ']'`},
+		{`{"pulse":{"i":[-0,-0-]}}`, `client: unexpected '-' at offset 20, want ',' or ']'`},
+		{`{"pulse":{"i":[1e5,1e5e]}}`, `client: unexpected 'e' at offset 22, want ',' or ']'`},
+		{`{"pulse":{"i":[7,7+]}}`, `client: unexpected '+' at offset 18, want ',' or ']'`},
+		{`{"pulse":{"i":[2,2.]}}`, `client: unexpected ']' at offset 19, want digit after decimal point`},
+	} {
+		// The scratch holds an earlier request.
+		var scratch sampleRunScratch
+		DecodeCompileRequest([]byte(`{"pulse":{"i":[9,9,9]}}`), &scratch.compile)
+		DecodeBatchRequest([]byte(`{"pulses":[{"i":[9,9,9]}]}`), &scratch.batch)
+		err := checkSampleRunDecode([]byte(c.body), &scratch)
+		if got := fmt.Sprint(err); err == nil && c.err != "" || err != nil && got != c.err {
+			t.Errorf("%s: error %v, want %q", c.body, err, c.err)
+		}
+	}
+}
+
+var sampleRunsN = flag.Int("sampleruns.n", 1<<12,
+	"random run-built sample arrays TestSampleRunsRandom checks (-short: 1/32 of it)")
+
+// TestSampleRunsRandom is the run paths' long differential run against
+// encoding/json: arrays of random runs of random values, prefix traps
+// and signed zeros among them, each checked as the table arrays are.
+// Every array is decoded a second time from text json.Marshal does not
+// write: some samples respelled (an exponent, trailing zeros) and some
+// separators spaced, so repeats meet texts that only start alike.
+// -sampleruns.n sets its size.
+func TestSampleRunsRandom(t *testing.T) {
+	n := *sampleRunsN
+	if testing.Short() {
+		n /= 32
+	}
+	rng := rand.New(rand.NewPCG(23, 7107))
+	var scratch sampleRunScratch
+	for range n {
+		fs := randomRuns(rng)
+		checkSampleRun(t, "random", fs, &scratch)
+		text := respell(rng, fs)
+		for _, body := range []string{`{"pulse":{"i":` + text + `}}`, `{"pulses":[{"i":` + text + `},{"q":` + text + `}]}`} {
+			if err := checkSampleRunDecode([]byte(body), &scratch); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// trapValues are values whose text is a prefix of another's, or whose
+// bits differ while they compare equal.
+var trapValues = []float64{0, minusZero, 1, 10, 1.5, 100000, 1e21, 0.5, 0.55, 0.505, -3, -30, 5e-324, 1e20, 1e-6, 1e-7}
+
+// randomRuns returns up to 24 runs of up to 8 samples: random bit
+// patterns, pulse-like values and trap values.
+func randomRuns(rng *rand.Rand) []float64 {
+	var fs []float64
+	for range rng.IntN(25) {
+		var f float64
+		switch rng.IntN(3) {
+		case 0:
+			if f = math.Float64frombits(rng.Uint64()); math.IsNaN(f) || math.IsInf(f, 0) {
+				f = 1
+			}
+		case 1:
+			f = math.Round(rng.NormFloat64()*1e6) / 1e6
+		default:
+			f = trapValues[rng.IntN(len(trapValues))]
+		}
+		for range 1 + rng.IntN(8) {
+			fs = append(fs, f)
+		}
+	}
+	return fs
+}
+
+// respell writes fs as JSON with some samples in another spelling of
+// the same number, and some separators with whitespace around them.
+func respell(rng *rand.Rand, fs []float64) string {
+	var b strings.Builder
+	b.WriteByte('[')
+	for i, f := range fs {
+		if i > 0 {
+			b.WriteString([]string{",", ",", " ,", ", ", "\n,\t"}[rng.IntN(5)])
+		}
+		s, _ := json.Marshal(f)
+		exp := bytes.IndexByte(s, 'e') >= 0
+		switch rng.IntN(6) {
+		case 0:
+			if !exp {
+				s = append(s, "e0"...)
+			}
+		case 1:
+			if !exp && bytes.IndexByte(s, '.') >= 0 {
+				s = append(s, '0')
+			}
+		case 2:
+			s = bytes.Replace(s, []byte("e"), []byte("E"), 1)
+		}
+		b.Write(s)
+	}
+	b.WriteByte(']')
+	return b.String()
+}
+
 // TestAppendFloatLengthBound pins maxFloatLen against the longest forms
 // encoding/json writes and a spread of random bit patterns.
 func TestAppendFloatLengthBound(t *testing.T) {
@@ -295,6 +548,14 @@ func pulseRequestSeeds(tb testing.TB) []string {
 		`{"pulses":[{"i":[],"q":[]},{"i":[],"q":[1]},{"i":[1],"q":[]}]}`,
 		`{"pulses":[{"i":[1,2]},{"i":[1,2`, `{"pulses":[{"i":[1,2]},{"i":[1,2]x}]}`,
 		`{"pulses":[{"i":[1,2]},{"i":[1,2]]}]}`, `{"pulses":[{"i":[1,2]},{"i":[1,[2]]}]}`,
+		// Runs of one sample: a flat top with signed zeros; texts that
+		// are prefixes of the next sample's; repeats followed by bytes
+		// that extend a number, by garbage, by nothing, or after null.
+		`{"pulses":[{"i":[0,0.018,0.0371,0.0371,0.0371,0.0371,0.0371,0.018,0],"q":[-0,-0,0,0,-0]}]}`,
+		`{"pulse":{"i":[1,1,10,10,1,1.5,1.5,100000,1e21,1E+21,0.5,0.55,0.5,-3,-30,-3],"q":[5e-324,5e-324,1e20,1e20]}}`,
+		`{"pulse":{"i":[1,1x]}}`, `{"pulses":[{"i":[1,1 1]}]}`, `{"pulse":{"i":[1 , 1 ,1]}}`,
+		`{"pulses":[{"i":[0,01]}]}`, `{"pulse":{"i":[1,1e5]}}`, `{"pulses":[{"i":[1,null,1]}]}`,
+		`{"pulse":{"i":[1,1`,
 		// Repeated keys decode in place over a recorded array.
 		`{"pulses":[{"i":[1,2]},{"i":[1,2]}],"pulses":[{"i":[3,4]},{"i":[1,2]}]}`,
 		`{"pulses":[{"i":[1,2],"q":[1,2],"i":[3],"q":[1,2]}]}`,

@@ -5,6 +5,7 @@ package procharness
 import (
 	"context"
 	"fmt"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -64,17 +65,25 @@ func TestProcClusterChaosPartitionHeals(t *testing.T) {
 	// the nastiest failure mode: connections accept and then hang.
 	// Wait until both survivors' gossip has marked it down (a round
 	// with it runs out its 1s bound) so forwards stop routing at the
-	// frozen socket. An injected fault may already have marked node2
-	// suspect; then the wait returns at once and times nothing.
+	// frozen socket. The wait times the freeze only if node2 was up in
+	// both views before the signal and the suspicion then came from a
+	// round that ran out that bound (frozenOut): an injected fault (a
+	// reset, a 503) on an exchange with node2 marks it down well inside
+	// the bound.
 	early := peerDown(nodes[0], urls[2]) || peerDown(nodes[1], urls[2])
 	stopped := time.Now()
 	nodes[2].signal(t, syscall.SIGSTOP)
 	waitPeerDown(t, nodes[0], urls[2])
 	waitPeerDown(t, nodes[1], urls[2])
-	if early {
+	detected := time.Since(stopped)
+	frozen, lastErrs := frozenOut(nodes[:2], urls[2])
+	switch {
+	case early:
 		t.Logf("SIGSTOP detection: not measured, a survivor held node2 down before the signal")
-	} else {
-		t.Logf("SIGSTOP detection: %v until both survivors saw node2 down", time.Since(stopped))
+	case !frozen:
+		t.Logf("SIGSTOP detection: not measured, an injected fault marked node2 down first (last errors %q)", lastErrs)
+	default:
+		t.Logf("SIGSTOP detection: %v until both survivors saw node2 down", detected)
 	}
 
 	for i := shapesN; i < shapesN+extraN; i++ {
@@ -126,4 +135,28 @@ func TestProcClusterChaosPartitionHeals(t *testing.T) {
 	if st.Compile.Calls != 0 {
 		t.Fatalf("partitioned node recompiled: %d compile calls, want 0", st.Compile.Calls)
 	}
+}
+
+// frozenOut reports whether the survivors hold peer down because it is
+// frozen, and the last errors it read for peer. A frozen peer fails a
+// gossip round only by running out the round's bound, so each
+// survivor's last error must be that deadline, or empty where the
+// suspicion reached it by the other survivor's gossip, which records
+// no error of its own; and at least one must be the deadline.
+func frozenOut(survivors []*procNode, peer string) (bool, []string) {
+	var errs []string
+	frozen, timedOut := true, false
+	for _, n := range survivors {
+		p, ok := peerStatus(n, peer)
+		errs = append(errs, p.LastError)
+		switch {
+		case !ok:
+			frozen = false
+		case strings.Contains(p.LastError, context.DeadlineExceeded.Error()):
+			timedOut = true
+		case p.LastError != "":
+			frozen = false
+		}
+	}
+	return frozen && timedOut, errs
 }

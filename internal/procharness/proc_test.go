@@ -4,23 +4,32 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"compaqt/client"
 )
 
-// peerDown reads observer's ring view once and reports whether it
-// holds peer down; a failed read reports false.
-func peerDown(observer *procNode, peer string) bool {
+// peerStatus reads observer's ring view once and returns its entry for
+// peer; a failed read or a missing entry reports false.
+func peerStatus(observer *procNode, peer string) (client.PeerStatus, bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	v, err := observer.cl.ClusterView(ctx)
 	if err != nil {
-		return false
+		return client.PeerStatus{}, false
 	}
 	for _, p := range v.Peers {
-		if p.URL == peer && !p.Alive {
-			return true
+		if p.URL == peer {
+			return p, true
 		}
 	}
-	return false
+	return client.PeerStatus{}, false
+}
+
+// peerDown reads observer's ring view once and reports whether it
+// holds peer down; a failed read reports false.
+func peerDown(observer *procNode, peer string) bool {
+	p, ok := peerStatus(observer, peer)
+	return ok && !p.Alive
 }
 
 // waitPeerDown polls observer's ring view every 10ms, well inside one
