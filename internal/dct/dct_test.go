@@ -153,7 +153,10 @@ func TestHEVCMatrixNearOrthogonal(t *testing.T) {
 
 func TestMatrixRowSymmetry(t *testing.T) {
 	// Even rows are symmetric, odd rows antisymmetric -- the property
-	// the partial-butterfly hardware decomposition relies on.
+	// the partial-butterfly decomposition (IntForwardInto here, the
+	// hardware's adder network) relies on. Row 0 sums to
+	// 2^ForwardShift and every other row to 0 -- the identity that lets
+	// IntForwardInto return [x, 0, ..., 0] for a flat window.
 	for _, n := range []int{4, 8, 16, 32} {
 		m := Matrix(n)
 		for k := 0; k < n; k++ {
@@ -164,6 +167,17 @@ func TestMatrixRowSymmetry(t *testing.T) {
 				if k%2 == 1 && m[k][c] != -m[k][n-1-c] {
 					t.Fatalf("n=%d row %d not antisymmetric", n, k)
 				}
+			}
+			var sum int32
+			for _, v := range m[k] {
+				sum += v
+			}
+			want := int32(0)
+			if k == 0 {
+				want = 1 << ForwardShift(n)
+			}
+			if sum != want {
+				t.Fatalf("n=%d row %d sums to %d, want %d: a flat window would no longer transform to [x, 0, ..., 0]", n, k, sum, want)
 			}
 		}
 	}

@@ -100,34 +100,6 @@ func TestForwardIntoMatchesForward(t *testing.T) {
 	}
 }
 
-func TestIntForwardIntoMatchesIntForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	for _, ws := range []int{4, 8, 16, 32} {
-		for trial := 0; trial < 50; trial++ {
-			x := make([]int16, ws)
-			for i := range x {
-				x[i] = int16(rng.Intn(2*32767+1) - 32767)
-			}
-			dst := make([]int32, ws)
-			IntForwardInto(dst, x, ws)
-			want := IntForward(x, ws)
-			for i := range want {
-				if dst[i] != want[i] {
-					t.Fatalf("ws=%d: IntForwardInto[%d] = %d, want %d", ws, i, dst[i], want[i])
-				}
-			}
-			xdst := make([]int16, ws)
-			IntInverseInto(xdst, dst, ws)
-			wantX := IntInverse(dst, ws)
-			for i := range wantX {
-				if xdst[i] != wantX[i] {
-					t.Fatalf("ws=%d: IntInverseInto[%d] = %d, want %d", ws, i, xdst[i], wantX[i])
-				}
-			}
-		}
-	}
-}
-
 func TestMatrixFlatMatchesMatrix(t *testing.T) {
 	for _, ws := range []int{4, 8, 16, 32} {
 		flat := MatrixFlat(ws)
