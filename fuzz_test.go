@@ -14,11 +14,14 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"compaqt"
 	"compaqt/codec"
+	"compaqt/internal/compress"
 	"compaqt/internal/core"
+	"compaqt/internal/rle"
 	"compaqt/internal/store"
 )
 
@@ -53,9 +56,13 @@ func addImageSeeds(f *testing.F) {
 // FuzzOpenImage feeds arbitrary bytes to the full service-level image
 // path: deserialize, aggregate stats, look up and play entries through
 // the hardware-engine model. Nothing may panic; hostile inputs must
-// come back as errors.
+// come back as errors. The engine and the software reference read
+// windows the same way: for every entry played, Play and Decompress
+// both fail or return the same samples.
 func FuzzOpenImage(f *testing.F) {
 	addImageSeeds(f)
+	// A window whose zero run overshoots the window size.
+	f.Add(oneEntryImage(f, []rle.Word{rle.Sample(5), rle.ZeroRun(16)}))
 	svc, err := compaqt.New()
 	if err != nil {
 		f.Fatal(err)
@@ -76,9 +83,37 @@ func FuzzOpenImage(f *testing.F) {
 			}
 			// Errors are acceptable (malformed streams, bad windows);
 			// panics and runaway allocations are not.
-			_, _, _ = svc.Play(ctx, img.Entries[i].Key)
+			key := img.Entries[i].Key
+			got, _, errPlay := svc.Play(ctx, key)
+			e, err := img.Lookup(key) // the entry Play played
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, errDec := e.Compressed.Decompress()
+			if (errPlay == nil) != (errDec == nil) {
+				t.Fatalf("entry %q: Play err=%v, Decompress err=%v", key, errPlay, errDec)
+			}
+			if errPlay == nil && (!slices.Equal(got.I, want.I) || !slices.Equal(got.Q, want.Q)) {
+				t.Fatalf("entry %q: Play and Decompress return different samples", key)
+			}
 		}
 	})
+}
+
+// oneEntryImage serializes a window-16 image of one 16-sample entry
+// whose I and Q channels both hold stream.
+func oneEntryImage(f *testing.F, stream []rle.Word) []byte {
+	f.Helper()
+	c := &compress.Compressed{Name: "X_q0", Variant: compress.IntDCTW, WindowSize: 16,
+		SampleRate: 4.54e9, Samples: 16,
+		I: compress.Channel{Stream: stream}, Q: compress.Channel{Stream: stream}}
+	img := &core.Image{Machine: "seed", WindowSize: 16,
+		Entries: []core.Entry{{Key: "X_q0", Gate: "X", Target: -1, Compressed: c}}}
+	wire, err := img.AppendTo(nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return wire
 }
 
 // FuzzDecodeImage drives parsed-but-untrusted images through the

@@ -139,7 +139,7 @@ func TestFetchImageMissReturnsAPIError(t *testing.T) {
 	}
 }
 
-func TestTransportFailureMarksDownAndProbeHeals(t *testing.T) {
+func TestTransportFailureMarksPeerSuspect(t *testing.T) {
 	p := newFakePeer(t, nil)
 	// A second member that is never reachable: transport errors.
 	c := newTestCluster(t, p)
@@ -175,7 +175,7 @@ func TestTransportFailureMarksDownAndProbeHeals(t *testing.T) {
 	}
 }
 
-func TestProbeMarksDrainingPeerDownThenHeals(t *testing.T) {
+func TestGossipMarksDrainingPeerSuspectThenHeals(t *testing.T) {
 	p := newFakePeer(t, nil)
 	c := newTestCluster(t, p)
 

@@ -172,14 +172,16 @@ func Compress(f *wave.Fixed, opts Options) (*Compressed, error) {
 		if !dct.ValidWindow(opts.WindowSize) {
 			return nil, fmt.Errorf("compress: invalid window size %d for %v", opts.WindowSize, opts.Variant)
 		}
-		return compressWindowed(f, opts)
+		return compressWindowed(f, opts, opts.WindowSize)
 	default:
 		return nil, fmt.Errorf("compress: unknown variant %v", opts.Variant)
 	}
 }
 
-// compressWindowed implements the DCT-W and int-DCT-W paths.
-func compressWindowed(f *wave.Fixed, opts Options) (*Compressed, error) {
+// compressWindowed implements the DCT-W and int-DCT-W paths, with a
+// window starting every stride samples: ws on the plain layout,
+// ws-OverlapLen on the overlapped one.
+func compressWindowed(f *wave.Fixed, opts Options, stride int) (*Compressed, error) {
 	ws := opts.WindowSize
 	c := &Compressed{
 		Name:       f.Name,
@@ -187,13 +189,14 @@ func compressWindowed(f *wave.Fixed, opts Options) (*Compressed, error) {
 		WindowSize: ws,
 		SampleRate: f.SampleRate,
 		Samples:    f.Samples(),
+		Overlapped: stride < ws,
 	}
 	thr := int32(math.Round(opts.threshold() * wave.FullScale))
 
 	// The adaptive path needs flat runs common to the stream structure;
 	// each channel carries its own repeats (packed/ASIC layout).
 	for chIdx, samples := range [][]int16{f.I, f.Q} {
-		ch, err := compressChannel(samples, ws, thr, opts)
+		ch, err := compressChannel(samples, ws, stride, thr, opts)
 		if err != nil {
 			return nil, fmt.Errorf("compress: %q channel %d: %w", f.Name, chIdx, err)
 		}
@@ -206,18 +209,19 @@ func compressWindowed(f *wave.Fixed, opts Options) (*Compressed, error) {
 	return c, nil
 }
 
-// compressChannel compresses one channel with the windowed transform.
-// The whole channel runs in fixed stack scratch (ws <= 32) with the
-// stream and WindowWords grown by amortized append — O(1) amortized
-// allocations per window.
-func compressChannel(samples []int16, ws int, thr int32, opts Options) (*Channel, error) {
+// compressChannel compresses one channel with the windowed transform,
+// window w covering samples [w*stride, w*stride+ws). The whole channel
+// runs in fixed stack scratch (ws <= 32) with the stream and WindowWords
+// grown by amortized append — O(1) amortized allocations per window.
+func compressChannel(samples []int16, ws, stride int, thr int32, opts Options) (*Channel, error) {
 	ch := &Channel{}
 	n := len(samples)
-	numWin := (n + ws - 1) / ws
+	numWin := windowCount(n, ws, stride)
 
-	// Adaptive path: mark windows fully covered by a flat run that
-	// begins strictly before them, so the "hold previous sample"
-	// semantics reproduce the flat value (Section V-D).
+	// Adaptive path (plain layout only, stride ws): mark windows fully
+	// covered by a flat run that begins strictly before them, so the
+	// "hold previous sample" semantics reproduce the flat value
+	// (Section V-D).
 	var repeatWin []bool
 	if opts.Adaptive {
 		repeatWin = make([]bool, numWin)
@@ -250,7 +254,7 @@ func compressChannel(samples []int16, ws int, thr int32, opts Options) (*Channel
 		// channels that end slightly off zero, e.g. the DRAG derivative
 		// channel, and blow up the window's high-frequency content).
 		for i := 0; i < ws; i++ {
-			idx := w*ws + i
+			idx := w*stride + i
 			if idx < n {
 				win[i] = samples[idx]
 			} else {
@@ -323,24 +327,20 @@ func (c *Compressed) Decompress() (*wave.Fixed, error) {
 	case DCTN:
 		return decompressDCTN(c)
 	case DCTW, IntDCTW:
+		if !dct.ValidWindow(c.WindowSize) {
+			return nil, fmt.Errorf("decompress %q: invalid window size %d", c.Name, c.WindowSize)
+		}
+		stride := c.WindowSize
+		if c.Overlapped {
+			stride -= OverlapLen
+		}
 		out := &wave.Fixed{Name: c.Name, SampleRate: c.SampleRate}
 		var err error
-		if c.Overlapped {
-			out.I, err = decompressOverlappedChannel(&c.I, c.WindowSize, c.Samples)
-			if err != nil {
-				return nil, fmt.Errorf("decompress %q I: %w", c.Name, err)
-			}
-			out.Q, err = decompressOverlappedChannel(&c.Q, c.WindowSize, c.Samples)
-			if err != nil {
-				return nil, fmt.Errorf("decompress %q Q: %w", c.Name, err)
-			}
-			return out, nil
-		}
-		out.I, err = decompressChannel(&c.I, c.WindowSize, c.Samples, c.Variant)
+		out.I, err = decompressChannel(&c.I, c.WindowSize, stride, c.Samples, c.Variant)
 		if err != nil {
 			return nil, fmt.Errorf("decompress %q I: %w", c.Name, err)
 		}
-		out.Q, err = decompressChannel(&c.Q, c.WindowSize, c.Samples, c.Variant)
+		out.Q, err = decompressChannel(&c.Q, c.WindowSize, stride, c.Samples, c.Variant)
 		if err != nil {
 			return nil, fmt.Errorf("decompress %q Q: %w", c.Name, err)
 		}
@@ -351,10 +351,12 @@ func (c *Compressed) Decompress() (*wave.Fixed, error) {
 }
 
 // decompressChannel walks the stream: repeat codewords hold the last
-// emitted sample; anything else begins a DCT window. Per-window scratch
-// lives in fixed stack buffers; the only allocation is the returned
-// sample slice.
-func decompressChannel(ch *Channel, ws, n int, v Variant) ([]int16, error) {
+// emitted sample; anything else begins a DCT window, which lands stride
+// samples after the previous one. Where windows overlap (stride < ws),
+// the window's first ws-stride samples crossfade into the tail the
+// output already holds. Per-window scratch lives in fixed stack
+// buffers; the only allocation is the returned sample slice.
+func decompressChannel(ch *Channel, ws, stride, n int, v Variant) ([]int16, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("negative sample count %d", n)
 	}
@@ -385,33 +387,14 @@ func decompressChannel(ch *Channel, ws, n int, v Variant) ([]int16, error) {
 			i++
 			continue
 		}
-		// Decode one DCT window straight into the coefficient buffer:
-		// words until ws samples are covered.
 		y := yBuf[:ws]
-		for k := range y {
-			y[k] = 0
+		used, err := rle.ReadWindow(y, ch.Stream[i:])
+		if err != nil {
+			return nil, fmt.Errorf("window at word %d: %w", i, err)
 		}
-		start := i
-		covered := 0
-		for covered < ws {
-			if i >= len(ch.Stream) {
-				return nil, fmt.Errorf("truncated stream in window starting at word %d", start)
-			}
-			w := ch.Stream[i]
-			k, run := rle.Decode(w)
-			switch k {
-			case rle.KindSample:
-				y[covered] = int32(rle.SampleValue(w))
-				covered++
-			case rle.KindZeroRun:
-				covered += run
-			case rle.KindRepeat:
-				return nil, fmt.Errorf("repeat codeword inside DCT window at word %d", i)
-			}
-			i++
-		}
-		if covered != ws {
-			return nil, fmt.Errorf("rle: window decodes to %d samples, want %d", covered, ws)
+		i += used
+		if len(out) == n {
+			continue // a window after the declared samples is dropped
 		}
 		samples := sBuf[:ws]
 		switch v {
@@ -427,9 +410,16 @@ func decompressChannel(ch *Channel, ws, n int, v Variant) ([]int16, error) {
 				samples[k] = clamp16(int64(math.Round(x)))
 			}
 		}
-		out = append(out, samples...)
+		// Crossfade the overlap with weights 1/4, 2/4, 3/4 toward the
+		// new window (shift-add friendly).
+		tail := out[len(out)-min(ws-stride, len(out)):]
+		for k, old := range tail {
+			wNew := int32(k + 1)
+			tail[k] = int16((int32(old)*(4-wNew) + int32(samples[k])*wNew) / 4)
+		}
+		out = append(out, samples[len(tail):]...)
 		if len(out) > n {
-			out = out[:n] // drop zero padding of the final window
+			out = out[:n] // drop the hold-last padding of the final window
 		}
 		last = out[len(out)-1]
 	}
@@ -437,6 +427,18 @@ func decompressChannel(ch *Channel, ws, n int, v Variant) ([]int16, error) {
 		return nil, fmt.Errorf("stream decodes to %d samples, want %d", len(out), n)
 	}
 	return out, nil
+}
+
+// windowCount is the number of ws-sample windows, one starting every
+// stride samples, that cover n samples; the last may run past n.
+func windowCount(n, ws, stride int) int {
+	switch {
+	case n == 0:
+		return 0
+	case n <= ws:
+		return 1
+	}
+	return (n-ws+stride-1)/stride + 1
 }
 
 // markRepeatWindows flags windows fully inside a constant run that

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"compaqt/internal/dct"
-	"compaqt/internal/rle"
 	"compaqt/internal/wave"
 )
 
@@ -12,9 +11,11 @@ import (
 // remove WS=8's window-boundary distortion ("These distortions can be
 // reduced by using overlapping windows", Section VII-B).
 //
-// Windows advance by ws-overlap samples; on decompression the overlap
-// region crossfades linearly between the two reconstructions. The
-// overlap is fixed at 3 samples so the blend weights are k/4 —
+// The overlapped layout is the plain one at stride ws-OverlapLen:
+// compressWindowed and decompressChannel serve both, and only the
+// decoder's crossfade is particular to it. On decompression the
+// overlap region crossfades linearly between the two reconstructions.
+// The overlap is fixed at 3 samples so the blend weights are k/4 —
 // realizable with shifts and adds, keeping the decompression engine
 // multiplierless. The cost is ws/(ws-3) more windows (1.6x for WS=8,
 // 1.23x for WS=16), which is why the paper treats it as an optional
@@ -22,9 +23,6 @@ import (
 
 // OverlapLen is the fixed window overlap in samples.
 const OverlapLen = 3
-
-// overlapStride returns the window advance for a window size.
-func overlapStride(ws int) int { return ws - OverlapLen }
 
 // CompressOverlapped compresses with int-DCT-W over overlapping
 // windows. Adaptive repeats are not supported on this path (the blend
@@ -36,130 +34,8 @@ func CompressOverlapped(f *wave.Fixed, ws int, threshold float64) (*Compressed, 
 	if ws <= OverlapLen {
 		return nil, fmt.Errorf("compress: window %d too small for overlap %d", ws, OverlapLen)
 	}
-	if threshold == 0 {
-		threshold = DefaultThreshold
-	}
-	thr := int32(threshold * wave.FullScale)
-	c := &Compressed{
-		Name:       f.Name,
-		Variant:    IntDCTW,
-		WindowSize: ws,
-		SampleRate: f.SampleRate,
-		Samples:    f.Samples(),
-		Overlapped: true,
-	}
-	for chIdx, samples := range [][]int16{f.I, f.Q} {
-		ch, err := compressOverlappedChannel(samples, ws, thr)
-		if err != nil {
-			return nil, fmt.Errorf("compress: %q channel %d: %w", f.Name, chIdx, err)
-		}
-		if chIdx == 0 {
-			c.I = *ch
-		} else {
-			c.Q = *ch
-		}
-	}
-	return c, nil
-}
-
-func overlapWindowCount(n, ws int) int {
-	stride := overlapStride(ws)
-	if n <= ws {
-		return 1
-	}
-	return (n-ws+stride-1)/stride + 1
-}
-
-func compressOverlappedChannel(samples []int16, ws int, thr int32) (*Channel, error) {
-	ch := &Channel{}
-	n := len(samples)
-	numWin := overlapWindowCount(n, ws)
-	stride := overlapStride(ws)
-	var winBuf [32]int16
-	win := winBuf[:ws]
-	ch.WindowWords = make([]int, 0, numWin)
-	for w := 0; w < numWin; w++ {
-		base := w * stride
-		for i := 0; i < ws; i++ {
-			idx := base + i
-			if idx < n {
-				win[i] = samples[idx]
-			} else {
-				win[i] = samples[n-1] // hold-last padding
-			}
-		}
-		before := len(ch.Stream)
-		stream, err := appendDCTWindow(ch.Stream, win, ws, thr, IntDCTW)
-		if err != nil {
-			return nil, err
-		}
-		ch.Stream = stream
-		ch.WindowWords = append(ch.WindowWords, len(stream)-before)
-	}
-	return ch, nil
-}
-
-// decompressOverlappedChannel reconstructs with a k/4 crossfade in the
-// 3-sample overlap of consecutive windows.
-func decompressOverlappedChannel(ch *Channel, ws, n int) ([]int16, error) {
-	stride := overlapStride(ws)
-	out := make([]int16, 0, n+ws)
-	var yBuf [32]int32
-	var sBuf [32]int16
-	winIdx := 0
-	i := 0
-	for i < len(ch.Stream) {
-		y := yBuf[:ws]
-		for k := range y {
-			y[k] = 0
-		}
-		covered := 0
-		for covered < ws {
-			if i >= len(ch.Stream) {
-				return nil, fmt.Errorf("truncated overlapped stream in window %d", winIdx)
-			}
-			w := ch.Stream[i]
-			k, run := rle.Decode(w)
-			switch k {
-			case rle.KindSample:
-				y[covered] = int32(rle.SampleValue(w))
-				covered++
-			case rle.KindZeroRun:
-				covered += run
-			case rle.KindRepeat:
-				return nil, fmt.Errorf("repeat codeword on the overlapped path")
-			}
-			i++
-		}
-		if covered != ws {
-			return nil, fmt.Errorf("rle: window decodes to %d samples, want %d", covered, ws)
-		}
-		samples := sBuf[:ws]
-		dct.IntInverseInto(samples, y, ws)
-		if winIdx == 0 {
-			out = append(out, samples...)
-		} else {
-			base := winIdx * stride
-			// Crossfade the 3 overlap samples: weights 1/4, 2/4, 3/4
-			// toward the new window (shift-add friendly).
-			for k := 0; k < OverlapLen && base+k < len(out); k++ {
-				old := int32(out[base+k])
-				new_ := int32(samples[k])
-				wNew := int32(k + 1)
-				out[base+k] = int16((old*(4-wNew) + new_*wNew) / 4)
-			}
-			tail := OverlapLen
-			if base+tail < len(out) {
-				tail = len(out) - base
-			}
-			out = append(out, samples[tail:]...)
-		}
-		winIdx++
-	}
-	if len(out) < n {
-		return nil, fmt.Errorf("overlapped stream decodes to %d samples, want %d", len(out), n)
-	}
-	return out[:n], nil
+	opts := Options{Variant: IntDCTW, WindowSize: ws, Threshold: threshold}
+	return compressWindowed(f, opts, ws-OverlapLen)
 }
 
 // BoundaryMSE measures reconstruction error restricted to the samples

@@ -1,8 +1,11 @@
 package compress
 
 import (
+	"reflect"
 	"testing"
 
+	"compaqt/internal/dct"
+	"compaqt/internal/rle"
 	"compaqt/internal/wave"
 )
 
@@ -54,7 +57,7 @@ func TestOverlappedReducesBoundaryError(t *testing.T) {
 		t.Fatal(err)
 	}
 	bPlain := BoundaryMSE(f, dPlain, 8)
-	bOver := BoundaryMSE(f, dOver, overlapStride(8))
+	bOver := BoundaryMSE(f, dOver, 8-OverlapLen)
 	if bOver >= bPlain {
 		t.Errorf("overlap did not reduce boundary MSE: %g vs %g", bOver, bPlain)
 	}
@@ -103,18 +106,90 @@ func TestOverlappedRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestOverlapWindowCount pins the one window count both layouts use:
+// the plain layout at stride ws, the overlapped one at ws-OverlapLen.
 func TestOverlapWindowCount(t *testing.T) {
-	cases := []struct{ n, ws, want int }{
-		{16, 16, 1},
-		{17, 16, 2},
-		{144, 16, 11}, // (144-16)/13 = 9.8 -> 10 + 1
-		{8, 8, 1},
-		{40, 8, 8}, // (40-8)/5 = 6.4 -> 7 + 1
+	cases := []struct{ n, ws, stride, want int }{
+		{0, 16, 16, 0},
+		{0, 16, 13, 0},
+		{1, 16, 16, 1},
+		{16, 16, 16, 1},
+		{17, 16, 16, 2},
+		{144, 16, 16, 9},
+		{145, 16, 16, 10},
+		{16, 16, 13, 1},
+		{17, 16, 13, 2},
+		{144, 16, 13, 11}, // (144-16)/13 = 9.8 -> 10 + 1
+		{8, 8, 5, 1},
+		{40, 8, 5, 8}, // (40-8)/5 = 6.4 -> 7 + 1
 	}
 	for _, c := range cases {
-		if got := overlapWindowCount(c.n, c.ws); got != c.want {
-			t.Errorf("overlapWindowCount(%d, %d) = %d, want %d", c.n, c.ws, got, c.want)
+		if got := windowCount(c.n, c.ws, c.stride); got != c.want {
+			t.Errorf("windowCount(%d, %d, %d) = %d, want %d", c.n, c.ws, c.stride, got, c.want)
 		}
+	}
+}
+
+func TestOverlappedEmptyWaveform(t *testing.T) {
+	f := &wave.Fixed{Name: "empty", SampleRate: rate}
+	for _, ws := range []int{8, 16} {
+		c, err := CompressOverlapped(f, ws, 0)
+		if err != nil {
+			t.Fatalf("ws=%d: %v", ws, err)
+		}
+		if len(c.I.Stream) != 0 || len(c.Q.Stream) != 0 || len(c.I.WindowWords) != 0 {
+			t.Fatalf("ws=%d: empty waveform encoded to %d+%d words", ws, len(c.I.Stream), len(c.Q.Stream))
+		}
+		d, err := c.Decompress()
+		if err != nil {
+			t.Fatalf("ws=%d: %v", ws, err)
+		}
+		if d.Samples() != 0 {
+			t.Fatalf("ws=%d: decompressed to %d samples, want 0", ws, d.Samples())
+		}
+	}
+}
+
+// TestOverlappedThresholdRoundsLikePlain puts the threshold 0.75 past
+// a coefficient's magnitude, where rounding it to an integer zeroes
+// the coefficient and truncating would keep it. A waveform of one
+// window has the same single window on both layouts, so both must
+// write the same stream, with that coefficient zeroed.
+func TestOverlappedThresholdRoundsLikePlain(t *testing.T) {
+	const ws = 8
+	win := []int16{1000, 3000, 5200, 7000, 8100, 6900, 5000, 2800}
+	f := &wave.Fixed{Name: "ramp", SampleRate: rate, I: win, Q: win}
+	y := dct.IntForward(win, ws)
+	k := -1
+	for i, c := range y {
+		if c != 0 && (k < 0 || abs32(c) < abs32(y[k])) {
+			k = i
+		}
+	}
+	if k < 0 {
+		t.Fatal("window transforms to all zeros")
+	}
+	thr := (float64(abs32(y[k])) + 0.75) / wave.FullScale
+	plain, err := Compress(f, Options{Variant: IntDCTW, WindowSize: ws, Threshold: thr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	over, err := CompressOverlapped(f, ws, thr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*Compressed{"plain": plain, "overlapped": over} {
+		coeffs, err := rle.DecodeWindow(c.I.Stream, ws)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if coeffs[k] != 0 {
+			t.Errorf("%s: coefficient %d (|%d| < threshold %g) kept as %d",
+				name, k, abs32(y[k]), thr*wave.FullScale, coeffs[k])
+		}
+	}
+	if !reflect.DeepEqual(plain.I.Stream, over.I.Stream) {
+		t.Errorf("one-window streams differ: plain %v, overlapped %v", plain.I.Stream, over.I.Stream)
 	}
 }
 

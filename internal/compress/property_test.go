@@ -3,6 +3,7 @@ package compress
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -190,6 +191,22 @@ func TestCorruptedStreamsRejected(t *testing.T) {
 	extra.I.Stream = append(extra.I.Stream, extra.I.Stream[0])
 	if _, err := extra.Decompress(); err == nil {
 		t.Error("overlong stream should error")
+	}
+}
+
+// TestDecompressRejectsInvalidWindow: a window size outside the
+// engine's set comes back as an error on both windowed variants. At 0
+// a window takes no words, so the decoder would never step past it;
+// above 32 it would overrun the fixed window buffers.
+func TestDecompressRejectsInvalidWindow(t *testing.T) {
+	ch := Channel{Stream: []rle.Word{rle.Repeat(2), rle.Sample(1), rle.ZeroRun(3)}}
+	for _, v := range []Variant{IntDCTW, DCTW} {
+		for _, ws := range []int{12, 64, 0} {
+			c := &Compressed{Name: "bad", Variant: v, WindowSize: ws, Samples: 6, I: ch, Q: ch}
+			if _, err := c.Decompress(); err == nil || !strings.Contains(err.Error(), "invalid window size") {
+				t.Errorf("%v window %d: err %v, want an invalid-window refusal", v, ws, err)
+			}
+		}
 	}
 }
 

@@ -144,10 +144,9 @@ func TestOverlappedStreamMatchesReferenceEncoder(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Reference: encode each overlapped window independently.
-		stride := overlapStride(ws)
-		numWin := overlapWindowCount(500, ws)
-		threshold := float64(DefaultThreshold)
-		thr := int32(threshold * wave.FullScale)
+		stride := ws - OverlapLen
+		numWin := windowCount(500, ws, stride)
+		thr := int32(math.Round(DefaultThreshold * wave.FullScale))
 		var want []rle.Word
 		win := make([]int16, ws)
 		for w := 0; w < numWin; w++ {

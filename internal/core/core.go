@@ -253,6 +253,7 @@ func rebuildChannelMeta(ch *compress.Channel, ws int) {
 	ch.WindowWords = nil
 	ch.RepeatWords = 0
 	ch.RepeatSamples = 0
+	var y [32]int32
 	i := 0
 	for i < len(ch.Stream) {
 		if k, run := rle.Decode(ch.Stream[i]); k == rle.KindRepeat {
@@ -261,21 +262,10 @@ func rebuildChannelMeta(ch *compress.Channel, ws int) {
 			i++
 			continue
 		}
-		start := i
-		covered := 0
-		for covered < ws && i < len(ch.Stream) {
-			k, run := rle.Decode(ch.Stream[i])
-			switch k {
-			case rle.KindSample:
-				covered++
-			case rle.KindZeroRun:
-				covered += run
-			case rle.KindRepeat:
-				covered = ws // malformed; Decompress will report it
-				continue
-			}
-			i++
-		}
-		ch.WindowWords = append(ch.WindowWords, i-start)
+		// A malformed window still has a length (see rle.ReadWindow);
+		// Decompress and the engine report its error.
+		used, _ := rle.ReadWindow(y[:ws], ch.Stream[i:])
+		ch.WindowWords = append(ch.WindowWords, used)
+		i += used
 	}
 }

@@ -31,14 +31,20 @@ func (img *Image) Size() int {
 }
 
 // checkSerializable rejects images the wire format cannot represent:
-// it stores only the int-DCT-W word stream (the representation the
-// hardware consumes), so other variants error instead of silently
-// dropping their side data.
+// it stores only the int-DCT-W word stream of the plain window layout
+// (the representation the hardware consumes), so other variants error
+// instead of silently dropping their side data, and overlapped entries
+// error instead of reading back as the plain layout.
 func (img *Image) checkSerializable() error {
 	for i := range img.Entries {
-		if v := img.Entries[i].Compressed.Variant; v != compress.IntDCTW {
+		c := img.Entries[i].Compressed
+		if c.Variant != compress.IntDCTW {
 			return fmt.Errorf("core: image format stores int-DCT-W only; entry %q is %v",
-				img.Entries[i].Key, v)
+				img.Entries[i].Key, c.Variant)
+		}
+		if c.Overlapped {
+			return fmt.Errorf("core: image format stores non-overlapping windows only; entry %q is overlapped",
+				img.Entries[i].Key)
 		}
 		if len(img.Entries[i].Key) > math.MaxUint16 || len(img.Entries[i].Gate) > math.MaxUint16 {
 			return fmt.Errorf("core: string too long")

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
+	"compaqt/internal/compress"
 	"compaqt/internal/device"
 )
 
@@ -120,13 +122,26 @@ func TestAppendToPreSizedAllocationFree(t *testing.T) {
 }
 
 func TestAppendToRejectsNonWireVariants(t *testing.T) {
-	img := testImage(t)
-	img.Entries[0].Compressed.Variant = 0 // Delta
-	if _, err := img.AppendTo(nil); err == nil {
-		t.Error("AppendTo accepted a non-int-DCT-W image")
+	over, err := compress.CompressOverlapped(device.Bogota().XPulse(0).Waveform.Quantize(), 16, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := img.WriteTo(&bytes.Buffer{}); err == nil {
-		t.Error("WriteTo accepted a non-int-DCT-W image")
+	for name, mutate := range map[string]func(*Entry){
+		"Delta": func(e *Entry) { e.Compressed.Variant = compress.Delta },
+		// The format has no place for the overlapped flag: written, the
+		// entry would read back as the plain layout and decode to other
+		// samples.
+		"overlapped": func(e *Entry) { e.Compressed = over },
+	} {
+		img := testImage(t)
+		mutate(&img.Entries[0])
+		key := img.Entries[0].Key
+		if _, err := img.AppendTo(nil); err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("AppendTo of the %s entry: err %v, want a refusal naming %q", name, err, key)
+		}
+		if _, err := img.WriteTo(&bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("WriteTo of the %s entry: err %v, want a refusal naming %q", name, err, key)
+		}
 	}
 }
 

@@ -15,11 +15,13 @@ import (
 // banking arithmetic that Table V's qubit counts rest on: width banks
 // per channel sustain ws samples per cycle.
 
-// padWord fills unused row slots; it decodes as a zero-length... no —
-// it is a zero-run of the full window, but loader logic guarantees the
-// parser never reads padding (each row's meaningful words come first
-// and the window parser stops at ws covered samples).
-var padWord = rle.ZeroRun(1)
+// padWord fills unused row slots. Each row's own words come first and
+// the window reader stops at ws covered samples, so a well-formed row
+// never reaches its padding. The pad is a repeat codeword, which no
+// window may hold: a row whose own words fall short of ws samples is
+// refused, as the streamed decoders refuse it, instead of being
+// completed by its padding.
+var padWord = rle.Repeat(1)
 
 // BankedChannel is one channel stored uniformly in a banked array.
 type BankedChannel struct {
@@ -82,6 +84,7 @@ func (e *Engine) Play(bc *BankedChannel) ([]int16, Stats, error) {
 	out := make([]int16, 0, bc.Samples)
 	var yBuf [32]int32
 	var sBuf [32]int16
+	var wordBuf [32]rle.Word
 	for row := 0; row < bc.Rows; row++ {
 		words, err := bc.Array.ReadRow(row)
 		if err != nil {
@@ -92,26 +95,15 @@ func (e *Engine) Play(bc *BankedChannel) ([]int16, Stats, error) {
 
 		// RLE decode until ws samples are covered; padding words beyond
 		// that are fetched but ignored (the hardware wires them off).
+		// Every word covers at least one sample, so a window fits in the
+		// row's first ws words.
+		win := wordBuf[:min(len(words), bc.WS)]
+		for k := range win {
+			win[k] = rle.Word(words[k])
+		}
 		y := yBuf[:bc.WS]
-		for k := range y {
-			y[k] = 0
-		}
-		pos := 0
-		for k := 0; k < len(words) && pos < bc.WS; k++ {
-			word := rle.Word(words[k])
-			kind, run := rle.Decode(word)
-			switch kind {
-			case rle.KindSample:
-				y[pos] = int32(rle.SampleValue(word))
-				pos++
-			case rle.KindZeroRun:
-				pos += run
-			case rle.KindRepeat:
-				return nil, st, fmt.Errorf("engine: repeat codeword in banked row %d", row)
-			}
-		}
-		if pos < bc.WS {
-			return nil, st, fmt.Errorf("engine: row %d covers %d of %d samples", row, pos, bc.WS)
+		if _, err := rle.ReadWindow(y, win); err != nil {
+			return nil, st, fmt.Errorf("engine: banked row %d: %w", row, err)
 		}
 		samples := sBuf[:bc.WS]
 		e.IDCTInto(samples, y)

@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"compaqt/internal/compress"
+	"compaqt/internal/rle"
 	"compaqt/internal/wave"
 )
 
@@ -119,5 +121,55 @@ func TestBankedPlayWindowMismatch(t *testing.T) {
 	e16 := mustEngine(t, 16)
 	if _, _, err := e16.Play(bc); err == nil {
 		t.Error("window mismatch should be rejected")
+	}
+}
+
+// TestDecodersRejectTheSameMalformedWindows runs every window decoder
+// over a two-window channel (ws 4, 8 samples) whose second window is
+// well formed or malformed in one way: the streamed engine, the banked
+// engine, the software reference and rle.DecodeWindow must accept and
+// refuse together, and where they accept, the three sample decoders
+// must agree. WindowWords is the banked row layout.
+func TestDecodersRejectTheSameMalformedWindows(t *testing.T) {
+	const ws, n = 4, 8
+	first := []rle.Word{rle.Sample(900), rle.Sample(-40), rle.Sample(25), rle.Sample(-3)}
+	cases := []struct {
+		name   string
+		second []rle.Word
+		ok     bool
+	}{
+		{"well formed", []rle.Word{rle.Sample(300), rle.ZeroRun(3)}, true},
+		{"truncated", []rle.Word{rle.Sample(300)}, false},
+		{"repeat inside", []rle.Word{rle.Sample(300), rle.Repeat(3)}, false},
+		{"zero run past ws", []rle.Word{rle.Sample(300), rle.ZeroRun(4)}, false},
+	}
+	e := mustEngine(t, ws)
+	for _, tc := range cases {
+		ch := compress.Channel{
+			Stream:      append(append([]rle.Word(nil), first...), tc.second...),
+			WindowWords: []int{len(first), len(tc.second)},
+		}
+		c := &compress.Compressed{Variant: compress.IntDCTW, WindowSize: ws, Samples: n, I: ch, Q: ch}
+
+		streamed, _, errRun := e.RunChannel(&ch, n)
+		bc, err := LoadChannel(&ch, ws, n)
+		if err != nil {
+			t.Fatalf("%s: LoadChannel: %v", tc.name, err)
+		}
+		banked, _, errPlay := e.Play(bc)
+		ref, errDec := c.Decompress()
+		_, errWin := rle.DecodeWindow(tc.second, ws)
+		for _, r := range []struct {
+			decoder string
+			err     error
+		}{{"RunChannel", errRun}, {"Play", errPlay}, {"Decompress", errDec}, {"DecodeWindow", errWin}} {
+			if (r.err == nil) != tc.ok {
+				t.Errorf("%s: %s err = %v, want ok=%t", tc.name, r.decoder, r.err, tc.ok)
+			}
+		}
+		if tc.ok && errRun == nil && errPlay == nil && errDec == nil &&
+			(!slices.Equal(streamed, ref.I) || !slices.Equal(banked, ref.I)) {
+			t.Errorf("%s: samples differ: RunChannel %v, Play %v, Decompress %v", tc.name, streamed, banked, ref.I)
+		}
 	}
 }

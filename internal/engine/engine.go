@@ -168,29 +168,12 @@ func (e *Engine) RunChannel(ch *compress.Channel, n int) ([]int16, Stats, error)
 		// Fetch one window's words, expanding the RLE zero tail into the
 		// IDCT buffer as they arrive.
 		y := yBuf[:ws]
-		for k := range y {
-			y[k] = 0
+		used, err := rle.ReadWindow(y, ch.Stream[i:])
+		if err != nil {
+			return nil, st, fmt.Errorf("engine: window at word %d: %w", i, err)
 		}
-		start := i
-		covered := 0
-		for covered < ws {
-			if i >= len(ch.Stream) {
-				return nil, st, fmt.Errorf("engine: truncated stream in window at word %d", start)
-			}
-			w := ch.Stream[i]
-			k, run := rle.Decode(w)
-			switch k {
-			case rle.KindSample:
-				y[covered] = int32(rle.SampleValue(w))
-				covered++
-			case rle.KindZeroRun:
-				covered += run // IDCT inputs are already zero
-			case rle.KindRepeat:
-				return nil, st, fmt.Errorf("engine: repeat codeword inside DCT window at word %d", i)
-			}
-			i++
-		}
-		st.MemWords += int64(i - start)
+		i += used
+		st.MemWords += int64(used)
 		st.Cycles++ // pipelined: one window per fabric cycle
 
 		// IDCT stage (constant one-cycle latency, Section V-B).

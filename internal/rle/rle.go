@@ -22,7 +22,11 @@
 // A zero-run codeword says "the remaining run samples of this window
 // are zero". A repeat codeword says "hold the previous time-domain
 // sample for run samples" and lets the decompression engine bypass the
-// IDCT entirely.
+// IDCT entirely; it sits between windows, never inside one.
+//
+// ReadWindow is the format's one window reader: the software
+// decompressor, the engine model (streamed and banked), the image
+// decoder's window accounting and DCT-N all expand windows through it.
 package rle
 
 import "fmt"
@@ -135,26 +139,53 @@ func AppendWindow(dst []Word, win []int16) []Word {
 	return dst
 }
 
-// DecodeWindow expands an encoded window back to ws samples. It returns
-// an error if the stream is malformed (wrong total length, repeat
-// codeword in a DCT window).
-func DecodeWindow(enc []Word, ws int) ([]int16, error) {
-	out := make([]int16, 0, ws)
-	for _, w := range enc {
-		kind, run := Decode(w)
-		switch kind {
-		case KindSample:
-			out = append(out, SampleValue(w))
-		case KindZeroRun:
-			for i := 0; i < run; i++ {
-				out = append(out, 0)
-			}
-		case KindRepeat:
-			return nil, fmt.Errorf("rle: repeat codeword inside DCT window")
+// ReadWindow expands the DCT window at the front of words into dst,
+// whose length is the window size ws, and returns how many words the
+// window took: literal coefficients up to the zero-run codeword that
+// covers the rest of the window (dst is cleared first, so the run
+// writes nothing).
+//
+// A window must cover exactly ws samples. On a malformed window used
+// still says where the window ends, so a caller that only measures
+// windows can step past it: a zero run past the window counts as used,
+// a repeat codeword does not (it belongs between windows), and a window
+// that runs out of words used them all.
+func ReadWindow[T int16 | int32](dst []T, words []Word) (used int, err error) {
+	clear(dst)
+	ws, covered := len(dst), 0
+	for covered < ws {
+		if used == len(words) {
+			return used, fmt.Errorf("rle: truncated window: %d words cover %d of %d samples", used, covered, ws)
 		}
+		w := words[used]
+		switch kind, run := Decode(w); kind {
+		case KindSample:
+			dst[covered] = T(SampleValue(w))
+			covered++
+		case KindZeroRun:
+			covered += run
+		case KindRepeat:
+			return used, fmt.Errorf("rle: repeat codeword at word %d of a DCT window", used)
+		}
+		used++
 	}
-	if len(out) != ws {
-		return nil, fmt.Errorf("rle: window decodes to %d samples, want %d", len(out), ws)
+	if covered != ws {
+		return used, fmt.Errorf("rle: window decodes to %d samples, want %d", covered, ws)
+	}
+	return used, nil
+}
+
+// DecodeWindow expands an encoded window back to ws samples: ReadWindow,
+// with every word required to belong to the window (DCT-N stores each
+// channel as one window).
+func DecodeWindow(enc []Word, ws int) ([]int16, error) {
+	out := make([]int16, ws)
+	used, err := ReadWindow(out, enc)
+	if err != nil {
+		return nil, err
+	}
+	if used != len(enc) {
+		return nil, fmt.Errorf("rle: %d words left after a %d-sample window", len(enc)-used, ws)
 	}
 	return out, nil
 }

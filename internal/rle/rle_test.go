@@ -2,6 +2,7 @@ package rle
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -125,6 +126,43 @@ func TestDecodeWindowErrors(t *testing.T) {
 	}
 	if _, err := DecodeWindow([]Word{Sample(1), ZeroRun(8)}, 8); err == nil {
 		t.Error("overlong window should error")
+	}
+	if _, err := DecodeWindow([]Word{Sample(1), ZeroRun(7), Sample(2)}, 8); err == nil {
+		t.Error("a word after the window should error")
+	}
+}
+
+// TestReadWindowCounts pins what ReadWindow reads and how many words it
+// says a window took, well formed or not: a zero run past the window
+// counts as used, a repeat codeword does not, and running out of words
+// uses them all. Words after a complete window are left for the next.
+func TestReadWindowCounts(t *testing.T) {
+	cases := []struct {
+		name  string
+		words []Word
+		used  int
+		ok    bool
+	}{
+		{"literals then zero run", []Word{Sample(7), Sample(-3), ZeroRun(2), Sample(9)}, 3, true},
+		{"literals only", []Word{Sample(1), Sample(2), Sample(3), Sample(4), Sample(5)}, 4, true},
+		{"all zero", []Word{ZeroRun(4), ZeroRun(4)}, 1, true},
+		{"zero run past the window", []Word{Sample(7), ZeroRun(4), Sample(9)}, 2, false},
+		{"repeat inside", []Word{Sample(7), Repeat(3), Sample(9)}, 1, false},
+		{"truncated", []Word{Sample(7), Sample(-3)}, 2, false},
+		{"empty", nil, 0, false},
+	}
+	for _, tc := range cases {
+		used, err := ReadWindow(make([]int32, 4), tc.words)
+		if used != tc.used || (err == nil) != tc.ok {
+			t.Errorf("%s: used %d, err %v; want used %d, ok=%t", tc.name, used, err, tc.used, tc.ok)
+		}
+	}
+	dst := []int16{-1, -1, -1, -1} // stale values the zero run must not leave
+	if _, err := ReadWindow(dst, []Word{Sample(7), Sample(-3), ZeroRun(2)}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int16{7, -3, 0, 0}; !reflect.DeepEqual(dst, want) {
+		t.Errorf("window reads %v, want %v", dst, want)
 	}
 }
 

@@ -384,15 +384,13 @@ func TestClusterRepairRestoresMissedPublishAfterRestart(t *testing.T) {
 	}
 }
 
-// TestClusterHintedHandoffReplaysAfterRestart keeps the outage that
-// hinted handoff was once built for, now that no hint is queued: a
-// replica is killed, a name is compiled through the outage, and the
-// replica restarts on its old address and store with its background
-// repair loop running. Nothing else is driven: no probe, no flush, no
-// RepairOnce call. The loop alone must pull the missed publish, which
+// TestClusterRepairLoopCatchesUpRestartedReplica: a replica is killed,
+// a name is compiled through the outage, and the replica restarts on
+// its old address and store with its background repair loop running.
+// Nothing else is driven: no RepairOnce call. The loop alone must pull the missed publish, which
 // the restarted node then serves from local state without compiling or
 // forwarding.
-func TestClusterHintedHandoffReplaysAfterRestart(t *testing.T) {
+func TestClusterRepairLoopCatchesUpRestartedReplica(t *testing.T) {
 	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
 	withStores := func(i int, cfg *Config) { cfg.StoreDir = dirs[i] }
 	nodes := startClusterNodes(t, 3, 2, withStores)

@@ -894,18 +894,6 @@ func (s *Store) Probe() bool {
 	return true
 }
 
-// Flush fsyncs the manifest. Appends are already durable record by
-// record, except the records that only raise a binding's version;
-// Flush exists for drain paths that want an explicit barrier.
-func (s *Store) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || s.man == nil {
-		return nil
-	}
-	return s.man.Sync()
-}
-
 // Close flushes and releases the store: binding references drop (so
 // mappings unmap as their last pinned readers finish), the manifest
 // and lock handles close. Object files stay on disk — they are the
